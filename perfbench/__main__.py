@@ -1,0 +1,7 @@
+"""``python3 -m perfbench``: see :mod:`perfbench.run`."""
+
+import sys
+
+from perfbench.run import main
+
+sys.exit(main())
