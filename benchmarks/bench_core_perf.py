@@ -1,14 +1,12 @@
 """Performance microbenchmarks of the hot paths.
 
 These are classic pytest-benchmark measurements (multiple rounds): the
-per-candidate evaluation kernels, a full HOP at Internet scale (batched
-vs reference, with hops/sec captured in the BENCH json), AgRank ranking,
-and the synthetic-latency substrate.  They guard against regressions in
-the code the experiments spend their time in;
-``test_perf_batched_hop_speedup`` asserts the batched kernel's >= 3x
-hops/sec over reference on a huge_conference-scale draw, and
-``test_perf_arrays_hop_speedup`` the struct-of-arrays kernel's >= 3x
-over *batched* at 10x that scale.
+per-assignment usage and delay functions, a full HOP at Internet scale
+(hops/sec captured in the BENCH json), AgRank ranking, and the
+synthetic-latency substrate.  They guard against regressions in the code
+the experiments spend their time in; ``test_perf_arrays_hop_rate``
+records the struct-of-arrays kernel's absolute hops/sec at 10x
+huge_conference scale, a number to track over time rather than a floor.
 """
 
 from __future__ import annotations
@@ -39,18 +37,6 @@ def scenario():
 
 
 @pytest.fixture(scope="module")
-def huge_scenario():
-    """The huge_conference library shape: 500 users over 384 sites."""
-    conference = scenario_conference(
-        seed=11, params=ScenarioParams(num_user_sites=384, num_users=500)
-    )
-    evaluator = ObjectiveEvaluator(
-        conference, ObjectiveWeights.normalized_for(conference)
-    )
-    return conference, evaluator
-
-
-@pytest.fixture(scope="module")
 def massive_scenario():
     """10x the huge_conference library shape: 5000 users, 3840 sites.
 
@@ -72,11 +58,11 @@ def massive_scenario():
     return conference, evaluator
 
 
-def _hop_solver(evaluator, conference, batched: bool | None = None, kernel=None):
+def _hop_solver(evaluator, conference):
     return MarkovAssignmentSolver(
         evaluator,
         nearest_assignment(conference),
-        config=MarkovConfig(beta=32.0, batched=batched, kernel=kernel),
+        config=MarkovConfig(beta=32.0),
         rng=np.random.default_rng(0),
     )
 
@@ -100,9 +86,9 @@ def test_perf_session_delay_kernel(benchmark, scenario):
 
 
 def test_perf_full_hop_internet_scale(benchmark, scenario):
-    """Default (batched) hop throughput at Internet scale."""
+    """Hop throughput at Internet scale."""
     conference, evaluator = scenario
-    solver = _hop_solver(evaluator, conference, batched=True)
+    solver = _hop_solver(evaluator, conference)
     sids = solver.context.active_sessions
 
     counter = iter(range(10**9))
@@ -114,99 +100,30 @@ def test_perf_full_hop_internet_scale(benchmark, scenario):
     benchmark.extra_info["hops_per_sec"] = 1.0 / benchmark.stats.stats.mean
 
 
-def test_perf_reference_hop_internet_scale(benchmark, scenario):
-    """The per-move reference path, kept as the regression baseline."""
-    conference, evaluator = scenario
-    solver = _hop_solver(evaluator, conference, batched=False)
-    sids = solver.context.active_sessions
+def test_perf_arrays_hop_rate(benchmark, massive_scenario):
+    """Arrays hops/sec at 10x huge_conference scale.
 
-    counter = iter(range(10**9))
-
-    def one_hop():
-        solver.session_hop(sids[next(counter) % len(sids)])
-
-    benchmark(one_hop)
-    benchmark.extra_info["hops_per_sec"] = 1.0 / benchmark.stats.stats.mean
-
-
-def test_perf_batched_hop_speedup(benchmark, huge_scenario):
-    """Before/after hops/sec on a huge_conference-scale session set.
-
-    The BENCH json records both rates; the assertion pins the ISSUE's
-    acceptance bar: the batched kernel is >= 3x the reference path.
-    """
-    conference, evaluator = huge_scenario
-    rates: dict[str, float] = {}
-    for label, batched in (("reference", False), ("batched", True)):
-        solver = _hop_solver(evaluator, conference, batched=batched)
-        solver.run(20)  # warm caches outside the timed window
-        num_hops = 150
-        start = time.perf_counter()
-        solver.run(num_hops)
-        rates[label] = num_hops / (time.perf_counter() - start)
-
-    solver = _hop_solver(evaluator, conference, batched=True)
-    sids = solver.context.active_sessions
-    counter = iter(range(10**9))
-    benchmark(lambda: solver.session_hop(sids[next(counter) % len(sids)]))
-
-    speedup = rates["batched"] / rates["reference"]
-    benchmark.extra_info["hops_per_sec_reference"] = rates["reference"]
-    benchmark.extra_info["hops_per_sec_batched"] = rates["batched"]
-    benchmark.extra_info["speedup"] = speedup
-    print(
-        f"\n  huge-scale HOP: reference {rates['reference']:.0f} hops/s, "
-        f"batched {rates['batched']:.0f} hops/s ({speedup:.1f}x)"
-    )
-    # Measured ~5x on an idle machine; the recorded extra_info documents
-    # the >= 3x target while the hard floor tolerates loaded CI boxes.
-    assert speedup >= 2.0
-
-
-def test_perf_arrays_hop_speedup(benchmark, massive_scenario):
-    """Struct-of-arrays vs batched hops/sec at 10x huge_conference scale.
-
-    The BENCH json records both rates; the extra_info documents the
-    ISSUE's acceptance bar — the arrays kernel at >= 3x the batched
-    kernel's hops/sec (the per-hop Python structure work the flattened
-    layouts eliminate dominates batched hops at this scale).
+    The BENCH json records the best-of-windows rate as an absolute
+    number to track over time; there is no floor.
     """
     conference, evaluator = massive_scenario
-    solvers = {
-        label: _hop_solver(evaluator, conference, kernel=label)
-        for label in ("batched", "arrays")
-    }
-    for solver in solvers.values():
-        solver.run(20)  # warm caches outside the timed windows
-    # Interleaved windows, best-of: scheduler noise on a shared box only
-    # ever *slows* a window, so the max rate is the robust estimator of
-    # each kernel's true throughput.
-    rates = {label: 0.0 for label in solvers}
+    solver = _hop_solver(evaluator, conference)
+    solver.run(20)  # warm caches outside the timed windows
+    # Best-of windows: scheduler noise on a shared box only ever *slows*
+    # a window, so the max rate is the robust throughput estimator.
+    rate = 0.0
     num_hops = 200
     for _window in range(5):
-        for label, solver in solvers.items():
-            start = time.perf_counter()
-            solver.run(num_hops)
-            rate = num_hops / (time.perf_counter() - start)
-            rates[label] = max(rates[label], rate)
+        start = time.perf_counter()
+        solver.run(num_hops)
+        rate = max(rate, num_hops / (time.perf_counter() - start))
 
-    solver = _hop_solver(evaluator, conference, kernel="arrays")
     sids = solver.context.active_sessions
     counter = iter(range(10**9))
     benchmark(lambda: solver.session_hop(sids[next(counter) % len(sids)]))
 
-    speedup = rates["arrays"] / rates["batched"]
-    benchmark.extra_info["hops_per_sec_batched"] = rates["batched"]
-    benchmark.extra_info["hops_per_sec_arrays"] = rates["arrays"]
-    benchmark.extra_info["speedup"] = speedup
-    print(
-        f"\n  10x-scale HOP: batched {rates['batched']:.0f} hops/s, "
-        f"arrays {rates['arrays']:.0f} hops/s ({speedup:.1f}x)"
-    )
-    # Kernel-level eval measures ~3x on an idle machine; the recorded
-    # extra_info documents the >= 3x target while the hard floor
-    # tolerates loaded CI boxes.
-    assert speedup >= 2.0
+    benchmark.extra_info["hops_per_sec_arrays"] = rate
+    print(f"\n  10x-scale HOP: arrays {rate:.0f} hops/s")
 
 
 def test_perf_agrank_ranking(benchmark, scenario):

@@ -428,21 +428,34 @@ def load_fleet_run(out_dir: str | Path, label: str = "") -> FleetRun:
             "directory produced by `repro fleet run`"
         )
     records = load_result_records(out_dir / RESULTS_FILENAME)
-    spec = None
     spec_path = out_dir / SPEC_FILENAME
-    if spec_path.exists():
-        from repro.fleet.spec import load_spec
-
-        try:
-            spec = load_spec(spec_path)
-        except SpecError:
-            spec = None  # torn spec.yaml: diff falls back to unknowns
     return FleetRun(
         path=out_dir,
         label=label or out_dir.name,
-        spec=spec,
+        spec=_load_stored_spec(spec_path) if spec_path.is_file() else None,
         records=records,
     )
+
+
+def _load_stored_spec(path: Path) -> "RunSpec | None":
+    """The spec a run directory stored, or ``None`` when it is torn.
+
+    Specs stored before the solver's kernel choice was removed carry a
+    ``kernel`` key in their ``solver`` section.  It never changed what a
+    run computed, so it is dropped here; :meth:`RunSpec.from_dict` stays
+    strict for specs users write.
+    """
+    import yaml
+
+    from repro.fleet.spec import RunSpec
+
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        if isinstance(data, dict) and isinstance(data.get("solver"), dict):
+            data["solver"].pop("kernel", None)
+        return RunSpec.from_dict(data)
+    except (yaml.YAMLError, SpecError):
+        return None  # torn spec.yaml: diff falls back to unknowns
 
 
 def load_fleet_runs(dirs: Sequence[str | Path]) -> list[FleetRun]:

@@ -11,7 +11,7 @@ Layers, bottom-up:
   (``Phi = alpha1 F + alpha2 G + alpha3 H``);
 * constraints — :mod:`feasibility` (constraints (1)-(8)), :mod:`capacity`
   (multi-session residual ledger);
-* search — :mod:`neighborhood` (single-decision moves), :mod:`batched`
+* search — :mod:`neighborhood` (single-decision moves), :mod:`arrays`
   (vectorized whole-move-set evaluation), :mod:`search` (shared
   local-search context), :mod:`markov` (Alg. 1),
   :mod:`agrank` (Alg. 2), :mod:`nearest` (the Nrst baseline),
@@ -22,13 +22,8 @@ Layers, bottom-up:
 
 from repro.core.agrank import AgRankConfig, agrank_assignment, rank_agents
 from repro.core.annealing import AnnealingConfig, simulated_annealing
+from repro.core.arrays import BatchEvaluation, MoveBatch
 from repro.core.assignment import Assignment
-from repro.core.batched import (
-    BatchEvaluation,
-    MoveBatch,
-    build_move_batch,
-    evaluate_move_batch,
-)
 from repro.core.capacity import CapacityLedger
 from repro.core.delay import average_conferencing_delay, flow_delay, session_user_delays
 from repro.core.exact import enumerate_assignments, solve_exact
@@ -61,11 +56,9 @@ __all__ = [
     "active_transcodes",
     "agrank_assignment",
     "average_conferencing_delay",
-    "build_move_batch",
     "check_assignment",
     "compute_session_usage",
     "enumerate_assignments",
-    "evaluate_move_batch",
     "flow_delay",
     "greedy_descent",
     "is_feasible",

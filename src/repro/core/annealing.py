@@ -62,21 +62,15 @@ def simulated_annealing(
     config: AnnealingConfig | None = None,
     active_sids: list[int] | None = None,
     rng: np.random.Generator | None = None,
-    kernel: str | None = None,
 ) -> AnnealingResult:
     """Run SA and return the best assignment encountered.
 
-    On the vectorized kernels only the uniformly drawn proposal is
-    materialized; the uniform draw ranges over the same feasible count
-    in the same enumeration order, so trajectories are bit-identical to
-    the reference path.
+    Each step draws one feasible neighbour uniformly from the session's
+    candidate batch; only that proposal is materialized.
     """
     config = config if config is not None else AnnealingConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
-    context = SearchContext(
-        evaluator, initial_assignment, active_sids=active_sids, kernel=kernel
-    )
-    reference = context.kernel == "reference"
+    context = SearchContext(evaluator, initial_assignment, active_sids=active_sids)
     active = context.active_sessions
 
     best_assignment = context.assignment
@@ -85,16 +79,10 @@ def simulated_annealing(
 
     for step in range(config.hops):
         sid = active[int(rng.integers(len(active)))]
-        if reference:
-            candidates = context.feasible_candidates(sid)
-            if not candidates:
-                continue
-            candidate = candidates[int(rng.integers(len(candidates)))]
-        else:
-            batch = context.candidate_batch(sid)
-            if batch.num_feasible == 0:
-                continue
-            candidate = batch.materialize(int(rng.integers(batch.num_feasible)))
+        batch = context.candidate_batch(sid)
+        if batch.num_feasible == 0:
+            continue
+        candidate = batch.materialize(int(rng.integers(batch.num_feasible)))
         delta = candidate.phi - context.session_cost(sid).phi
         if delta <= 0 or rng.uniform() < np.exp(-delta / config.temperature(step)):
             context.commit(sid, candidate)

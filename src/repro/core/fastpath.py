@@ -8,14 +8,12 @@ transcoding into what, per-user bitrate sums, per-(pair, agent) transcoding
 latencies) is static per conference — only the agent choices vary.
 
 :class:`ConferenceProfile` precomputes that structure once and provides
-allocation-light evaluation primitives.  The reference implementations in
-:mod:`repro.core.traffic` and :mod:`repro.core.delay` remain the
-ground truth — the test suite asserts bit-for-bit agreement — but the
-solvers run on this module.  On top of the per-assignment kernels here,
-:mod:`repro.core.batched` evaluates a session's *entire* single-decision
-move set in one array pass (:meth:`ConferenceProfile.evaluate_candidates`
-is the entry point); the per-move kernels below remain the reference the
-batched layer is tested against.
+allocation-light per-assignment evaluation primitives.  The reference
+implementations in :mod:`repro.core.traffic` and :mod:`repro.core.delay`
+remain the ground truth the test suite checks these against.  The
+objective evaluator, AgRank and the simulator call them per assignment;
+the solvers score whole move sets with :mod:`repro.core.arrays`, which
+flattens the session plans built here.
 """
 
 from __future__ import annotations
@@ -74,14 +72,12 @@ class ConferenceProfile:
                 )
 
         # sigma[pair, agent]: transcoding latency of the pair's task on the
-        # agent; pair_kappa: the transcoded output bitrate.
+        # agent.
         pairs = conference.transcode_pairs
         self.sigma = np.zeros((len(pairs), self.num_agents))
-        self.pair_kappa = np.zeros(len(pairs))
         for i, (source, destination) in enumerate(pairs):
             upstream = conference.user(source).upstream
             target = conference.demanded_representation(source, destination)
-            self.pair_kappa[i] = target.bitrate_mbps
             for l in range(self.num_agents):
                 self.sigma[i, l] = conference.agent(l).transcoding_latency_ms(
                     upstream, target
@@ -224,18 +220,6 @@ class ConferenceProfile:
                 max_flow = delay
         mean = sum(worst.values()) / len(worst)
         return mean, max_flow
-
-    def evaluate_candidates(self, assignment, sid: int):
-        """Batched evaluation of session ``sid``'s full move set.
-
-        Returns a :class:`repro.core.batched.BatchEvaluation` whose rows
-        agree bit-for-bit with :meth:`session_usage` /
-        :meth:`session_delays` applied to each move's assignment.
-        """
-        from repro.core.batched import build_move_batch, evaluate_move_batch
-
-        moves = build_move_batch(self._conference, assignment, sid)
-        return evaluate_move_batch(self, assignment, moves)
 
     def session_user_delays(
         self, user_agent: np.ndarray, task_agent: np.ndarray, sid: int

@@ -6,13 +6,12 @@ Serves as a deterministic reference point in the ablation benches: Markov
 approximation should match or beat it in expectation (it can escape local
 optima; greedy cannot).
 
-On the vectorized kernels the whole-conference sweep is a per-session
-``phi_current - batch.phi`` gain vector and one ``argmax`` per session;
-only the iteration's single winning candidate is materialized.  The
-selection is identical to the reference scan: ``np.argmax`` returns the
-*first* maximal gain (the reference's strict ``>`` keeps the first too),
-and cross-session comparison stays strict, so earlier sessions win ties
-exactly as before.
+The whole-conference sweep is a per-session ``phi_current - batch.phi``
+gain vector and one ``argmax`` per session; only the iteration's single
+winning candidate is materialized.  ``np.argmax`` returns the *first*
+maximal gain and cross-session comparison is strict, so ties resolve to
+the earliest session and, within it, the first move in enumeration
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.objective import ObjectiveEvaluator
-from repro.core.search import CandidateBatch, SearchContext
+from repro.core.search import Candidate, CandidateBatch, SearchContext
 from repro.netsim.noise import NoiseModel
 
 #: Minimum objective improvement for a move to count (guards float noise).
@@ -42,20 +41,10 @@ class GreedyResult:
 
 def _best_improvement(
     context: SearchContext, best_gain: float
-) -> tuple[object, int, float]:
+) -> tuple[Candidate | None, int, float]:
     """The iteration's strictly-best move across every active session."""
-    best = None
-    best_sid = -1
-    if context.kernel == "reference":
-        for sid in context.active_sessions:
-            phi_current = context.session_cost(sid).phi
-            for candidate in context.feasible_candidates(sid):
-                gain = phi_current - candidate.phi
-                if gain > best_gain:
-                    best, best_sid, best_gain = candidate, sid, gain
-        return best, best_sid, best_gain
     best_batch: CandidateBatch | None = None
-    best_position = -1
+    best_sid = best_position = -1
     for sid in context.active_sessions:
         phi_current = context.session_cost(sid).phi
         batch = context.candidate_batch(sid)
@@ -67,9 +56,9 @@ def _best_improvement(
         if gain > best_gain:
             best_batch, best_position = batch, position
             best_sid, best_gain = sid, gain
-    if best_batch is not None:
-        best = best_batch.materialize(best_position)
-    return best, best_sid, best_gain
+    if best_batch is None:
+        return None, best_sid, best_gain
+    return best_batch.materialize(best_position), best_sid, best_gain
 
 
 def greedy_descent(
@@ -78,15 +67,10 @@ def greedy_descent(
     active_sids: list[int] | None = None,
     max_iterations: int = 10_000,
     noise: NoiseModel | None = None,
-    kernel: str | None = None,
 ) -> GreedyResult:
     """Best-improvement local search to a local optimum of UAP."""
     context = SearchContext(
-        evaluator,
-        initial_assignment,
-        active_sids=active_sids,
-        noise=noise,
-        kernel=kernel,
+        evaluator, initial_assignment, active_sids=active_sids, noise=noise
     )
     iterations = 0
     while iterations < max_iterations:

@@ -24,11 +24,9 @@ Two hop rules are provided:
   enumerable instances.
 
 Candidate evaluation runs on the struct-of-arrays kernel of
-:mod:`repro.core.arrays` by default; ``MarkovConfig(kernel="batched")``
-selects PR 2's per-session batch kernel and ``kernel="reference"`` (or
-the legacy ``batched=False``) the per-move reference path.  All three
-are bit-for-bit equivalent (same candidates, same ``phi``, same rng
-consumption), so trajectories are identical under any kernel.
+:mod:`repro.core.arrays`: the hop rules act directly on the vectorized
+``phi`` of a session's candidate batch, and only the chosen neighbour
+is materialized.
 
 All hop weights are computed in the log domain, so raw-unit objectives with
 ``beta = 400`` are handled without overflow.
@@ -49,12 +47,7 @@ import repro.telemetry as tele
 from repro.core.assignment import Assignment
 from repro.core.neighborhood import Move
 from repro.core.objective import ObjectiveEvaluator
-from repro.core.search import (
-    Candidate,
-    CandidateBatch,
-    SearchContext,
-    resolve_kernel,
-)
+from repro.core.search import Candidate, CandidateBatch, SearchContext
 from repro.errors import SolverError
 from repro.model.conference import Conference
 from repro.netsim.noise import NoiseModel
@@ -122,21 +115,11 @@ class MarkovConfig:
         to it.
     hop_rule:
         ``"paper"`` or ``"metropolis"`` (see module docstring).
-    batched:
-        Legacy kernel flag (``True`` -> ``"batched"``, ``False`` ->
-        ``"reference"``); superseded by ``kernel`` and normalized to
-        match it after construction.
-    kernel:
-        Candidate-evaluation kernel (:data:`repro.core.search.KERNELS`);
-        defaults to ``"arrays"``.  Trajectories are identical under any
-        kernel.
     """
 
     beta: float = 400.0
     tau: float = 0.1
     hop_rule: Literal["paper", "metropolis"] = "paper"
-    batched: bool | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -145,9 +128,6 @@ class MarkovConfig:
             raise SolverError(f"tau must be positive, got {self.tau}")
         if self.hop_rule not in ("paper", "metropolis"):
             raise SolverError(f"unknown hop rule {self.hop_rule!r}")
-        resolved = resolve_kernel(self.kernel, self.batched)
-        object.__setattr__(self, "kernel", resolved)
-        object.__setattr__(self, "batched", resolved != "reference")
 
 
 @dataclass(frozen=True)
@@ -189,7 +169,6 @@ class MarkovAssignmentSolver:
             active_sids=active_sids,
             noise=noise,
             rng=self._rng,
-            kernel=self._config.kernel,
         )
         self._hops = 0
         self._migrations = 0
@@ -255,9 +234,9 @@ class MarkovAssignmentSolver:
     def session_hop(self, sid: int) -> HopResult:
         """One HOP of session ``sid`` (lines 9-16 of Alg. 1).
 
-        On the batched path the hop rules act directly on the vectorized
-        ``phi`` array; only the chosen neighbour is materialized into a
-        full :class:`Candidate`.
+        The hop rules act directly on the vectorized ``phi`` array; only
+        the chosen neighbour is materialized into a full
+        :class:`Candidate`.
         """
         self._hops += 1
         # One collector lookup per hop: with telemetry disabled the whole
@@ -273,24 +252,14 @@ class MarkovAssignmentSolver:
             else tele.NOOP_SPAN
         )
         with span:
-            if self._context.batched:
-                batch = self._context.candidate_batch(sid)
-                num_candidates = batch.num_feasible
-                if num_candidates == 0:
-                    return HopResult(sid, False, None, phi_before, phi_before, 0)
-                if self._config.hop_rule == "paper":
-                    chosen = self._paper_hop_batch(phi_before, batch)
-                else:
-                    chosen = self._metropolis_hop_batch(sid, phi_before, batch)
+            batch = self._context.candidate_batch(sid)
+            num_candidates = batch.num_feasible
+            if num_candidates == 0:
+                return HopResult(sid, False, None, phi_before, phi_before, 0)
+            if self._config.hop_rule == "paper":
+                chosen = self._paper_hop(phi_before, batch)
             else:
-                candidates = self._context.feasible_candidates(sid)
-                num_candidates = len(candidates)
-                if num_candidates == 0:
-                    return HopResult(sid, False, None, phi_before, phi_before, 0)
-                if self._config.hop_rule == "paper":
-                    chosen = self._paper_hop(phi_before, candidates)
-                else:
-                    chosen = self._metropolis_hop(sid, phi_before, candidates)
+                chosen = self._metropolis_hop(sid, phi_before, batch)
 
         if collector is not None:
             collector.count("solver.candidates", num_candidates)
@@ -315,57 +284,26 @@ class MarkovAssignmentSolver:
             num_candidates=num_candidates,
         )
 
-    def _paper_hop(self, phi_before: float, candidates: list[Candidate]) -> Candidate:
-        phis = np.array([c.phi for c in candidates])
-        probabilities = hop_probabilities(phi_before, phis, self._config.beta)
-        return candidates[_sample_index(self._rng, probabilities)]
-
-    def _paper_hop_batch(self, phi_before: float, batch: CandidateBatch) -> Candidate:
+    def _paper_hop(self, phi_before: float, batch: CandidateBatch) -> Candidate:
         probabilities = hop_probabilities(phi_before, batch.phi, self._config.beta)
         return batch.materialize(_sample_index(self._rng, probabilities))
 
     def _metropolis_hop(
-        self, sid: int, phi_before: float, candidates: list[Candidate]
-    ) -> Candidate | None:
-        proposal = candidates[int(self._rng.integers(len(candidates)))]
-        accepted = self._metropolis_accept(
-            sid, phi_before, proposal.phi, len(candidates), proposal.assignment
-        )
-        return proposal if accepted else None
-
-    def _metropolis_hop_batch(
         self, sid: int, phi_before: float, batch: CandidateBatch
     ) -> Candidate | None:
-        position = int(self._rng.integers(batch.num_feasible))
-        proposal = batch.materialize(position)
-        accepted = self._metropolis_accept(
-            sid,
-            phi_before,
-            proposal.phi,
-            batch.num_feasible,
-            proposal.assignment,
-        )
-        return proposal if accepted else None
-
-    def _metropolis_accept(
-        self,
-        sid: int,
-        phi_before: float,
-        phi_proposal: float,
-        forward: int,
-        proposal_assignment: Assignment,
-    ) -> bool:
+        proposal = batch.materialize(int(self._rng.integers(batch.num_feasible)))
         # Hastings correction: neighbourhood size at the proposed state,
         # counted against the *current* capacity ledger (no other session
-        # moves, so the residuals excluding ``sid`` are unchanged) — the
-        # former full SearchContext rebuild per proposal is gone.
-        backward = self._context.count_feasible(sid, proposal_assignment)
+        # moves, so the residuals excluding ``sid`` are unchanged).
+        backward = self._context.count_feasible(sid, proposal.assignment)
         if backward == 0:
-            return False  # the reverse move would be impossible; reject
+            return None  # the reverse move would be impossible; reject
         log_accept = metropolis_log_acceptance(
-            self._config.beta, phi_before, phi_proposal, forward, backward
+            self._config.beta, phi_before, proposal.phi, batch.num_feasible, backward
         )
-        return bool(np.log(self._rng.uniform()) < min(0.0, log_accept))
+        if np.log(self._rng.uniform()) < min(0.0, log_accept):
+            return proposal
+        return None
 
     # ------------------------------------------------------------------ #
     # Jump-chain simulation                                              #

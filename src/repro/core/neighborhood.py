@@ -17,7 +17,7 @@ from repro.errors import ModelError
 from repro.model.conference import Conference
 
 #: Integer codes for :attr:`Move.kind`, shared with the flat-array move
-#: representation of :mod:`repro.core.batched`.
+#: representation of :mod:`repro.core.arrays`.
 KIND_USER = 0
 KIND_TASK = 1
 

@@ -276,7 +276,6 @@ def compile_spec(spec: RunSpec) -> CompiledRun:
             markov=MarkovConfig(
                 beta=effective_beta(solver.beta),
                 hop_rule=solver.hop_rule,
-                kernel=solver.kernel,
             ),
             initial_policy=solver.policy,
             agrank=AgRankConfig(n_ngbr=solver.n_ngbr)

@@ -33,7 +33,6 @@ from pathlib import Path
 
 import yaml
 
-from repro.core.search import KERNELS as SOLVER_KERNELS
 from repro.errors import ModelError, SpecError
 from repro.netsim.sites import known_region_names, known_site_names, region
 from repro.runtime.faults import FAULT_KINDS, FAULT_POLICIES
@@ -336,12 +335,6 @@ class SolverSpec:
     #: Paper-unit beta, mapped through the shared calibration constant.
     beta: float = 400.0
     hop_rule: str = "paper"
-    #: Candidate-evaluation kernel (:data:`repro.core.search.KERNELS`).
-    #: All kernels are bit-identical, so the choice is a performance
-    #: switch — it is excluded from :func:`spec_hash` (sweeps over it
-    #: still get distinct unit cache slots via
-    #: :func:`repro.fleet.matrix.unit_run_id`).
-    kernel: str = "arrays"
     #: AgRank candidate pool size (policy "agrank" only).
     n_ngbr: int = 2
     alpha1: float = 1.0
@@ -359,11 +352,6 @@ class SolverSpec:
             raise SpecError(
                 f"solver.hop_rule {self.hop_rule!r} is unknown; "
                 f"choose from {HOP_RULES}"
-            )
-        if self.kernel not in SOLVER_KERNELS:
-            raise SpecError(
-                f"solver.kernel {self.kernel!r} is unknown; "
-                f"choose from {SOLVER_KERNELS}"
             )
         if self.beta <= 0:
             raise SpecError(f"solver.beta must be positive, got {self.beta}")
@@ -1115,18 +1103,14 @@ def spec_hash(spec: RunSpec) -> str:
     The ``execution`` section is excluded: it configures *how* units are
     dispatched (backend, pool size, budgets), never what they compute,
     so re-running a spec on a different backend reuses the cache instead
-    of re-solving identical units.  ``solver.kernel`` is excluded for
-    the same reason: every kernel produces bit-identical trajectories
-    (pinned by the core equivalence suites), so the choice never changes
-    what a run computes.  A *default* (fault-free) ``faults`` section is
-    dropped before hashing, so declaring the empty section is identical
-    to omitting it — pre-fault run ids and cached results stay valid;
-    any non-default faults content (windows, chaos knobs, policy) folds
-    into the hash and therefore into every unit's run id.
+    of re-solving identical units.  A *default* (fault-free) ``faults``
+    section is dropped before hashing, so declaring the empty section is
+    identical to omitting it — pre-fault run ids and cached results stay
+    valid; any non-default faults content (windows, chaos knobs, policy)
+    folds into the hash and therefore into every unit's run id.
     """
     data = spec.to_dict()
     data.pop("execution", None)
-    data.get("solver", {}).pop("kernel", None)
     if data.get("faults") == _plain(FaultsSpec()):
         data.pop("faults", None)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -51,8 +51,7 @@ class LiveConference:
     active_sids:
         The initially active sessions.
     markov:
-        HOP configuration (beta, hop rule, kernel) for the wrapped
-        solver.
+        HOP configuration (beta, hop rule) for the wrapped solver.
     initial_policy / agrank:
         The arrival-placement policy: ``"nearest"`` or ``"agrank"``
         (with its config), evaluated against the *live* residual

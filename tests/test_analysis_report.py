@@ -169,6 +169,31 @@ class TestLoader:
         run = load_fleet_run(tmp_path)
         assert run.spec is None and len(run.records) == 1
 
+    def test_stored_kernel_key_keeps_the_spec(self, tmp_path, fleet_dirs):
+        """Runs stored before the solver's kernel choice was removed
+        wrote ``solver: {kernel: arrays}``; their spec still loads, so a
+        comparison across the change keeps its spec-diff rows, while
+        specs users write stay strict."""
+        import yaml
+
+        base_dir, b200_dir = fleet_dirs
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        (old_dir / "results.jsonl").write_bytes(
+            (base_dir / "results.jsonl").read_bytes()
+        )
+        data = yaml.safe_load((base_dir / "spec.yaml").read_text(encoding="utf-8"))
+        data["solver"]["kernel"] = "arrays"
+        (old_dir / "spec.yaml").write_text(
+            yaml.safe_dump(data, sort_keys=False), encoding="utf-8"
+        )
+        run = load_fleet_run(old_dir)
+        assert run.spec == load_fleet_run(base_dir).spec
+        rows = dict(spec_diff([run, load_fleet_run(b200_dir)]))
+        assert set(rows) == {"name", "solver.beta"}
+        with pytest.raises(SpecError, match="unknown key.*'kernel'"):
+            RunSpec.from_dict(data)
+
     def test_duplicate_labels_deduped(self, tmp_path):
         for sub in ("a/out", "b/out"):
             d = tmp_path / sub

@@ -18,6 +18,7 @@ from repro.core.search import SearchContext
 from repro.errors import SolverError
 from repro.netsim.noise import QuantizedPerturbation
 from tests.conftest import build_pair_conference
+from tests.kernel_oracle import oracle_feasible
 
 
 @pytest.fixture()
@@ -188,35 +189,40 @@ class TestMetropolisHastings:
             np.log(4.0)
         )
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_count_feasible_matches_probe_context(self, batched):
-        """The backward degree equals what the old full-SearchContext
-        probe computed, without rebuilding any search state."""
+    @pytest.mark.parametrize("capacity", ["tight", "unconstrained"])
+    def test_count_feasible_matches_probe_context(self, capacity):
+        """The backward degree equals the oracle's feasible count in a
+        full SearchContext probe at the proposal, without rebuilding any
+        search state, with and without capacity constraints."""
+        from repro.workloads.prototype import prototype_conference
         from repro.workloads.scenarios import ScenarioParams, scenario_conference
 
-        conference = scenario_conference(
-            seed=23,
-            params=ScenarioParams(
-                num_user_sites=32,
-                num_users=16,
-                mean_bandwidth_mbps=200.0,
-                mean_transcode_slots=18.0,
-            ),
-        )
+        if capacity == "tight":
+            conference = scenario_conference(
+                seed=23,
+                params=ScenarioParams(
+                    num_user_sites=32,
+                    num_users=16,
+                    mean_bandwidth_mbps=200.0,
+                    mean_transcode_slots=18.0,
+                ),
+            )
+        else:
+            conference = prototype_conference(seed=23)
         evaluator = ObjectiveEvaluator(
             conference, ObjectiveWeights.normalized_for(conference)
         )
         assignment = nearest_assignment(conference)
-        context = SearchContext(evaluator, assignment, batched=batched)
+        context = SearchContext(evaluator, assignment)
+        assert context.ledger.unconstrained == (capacity == "unconstrained")
         for sid in range(min(4, conference.num_sessions)):
             for candidate in context.feasible_candidates(sid)[:5]:
                 probe = SearchContext(
                     evaluator,
                     candidate.assignment,
                     active_sids=context.active_sessions,
-                    batched=batched,
                 )
-                expected = len(probe.feasible_candidates(sid))
+                expected = len(oracle_feasible(probe, sid))
                 assert context.count_feasible(sid, candidate.assignment) == expected
 
     def test_metropolis_hop_builds_no_probe_context(self, conf, evaluator, monkeypatch):
