@@ -6,16 +6,15 @@ on a 2-process pool, and reports end-to-end runs/sec.  A third target
 measures the skip/resume cache: re-running an unchanged spec must do no
 solver work at all; a fourth measures the shared-substrate cache: a
 solver-axis sweep synthesizes its latency matrices exactly once.  The
-backend targets run the same matrix through each pluggable execution
-backend (serial / local / subprocess) asserting identical canonical
-results, and the halving target checks a budgeted sweep executes
-(and pays for) fewer units than the full grid.
+backend targets run the same matrix through each execution backend
+(serial / local / pool) asserting identical canonical results, the
+pool target records the pool's absolute runs/sec on short units, and
+the halving target checks a budgeted sweep executes (and pays for)
+fewer units than the full grid.
 """
 
 from __future__ import annotations
 
-import sys
-import textwrap
 import time
 
 import pytest
@@ -115,7 +114,7 @@ def test_fleet_cache_skip(benchmark, tmp_path, prototype_seed):
     assert benchmark.stats.stats.mean < 1.0
 
 
-@pytest.mark.parametrize("backend", ["serial", "local", "subprocess"])
+@pytest.mark.parametrize("backend", ["serial", "local", "pool"])
 def test_fleet_backend_throughput(benchmark, tmp_path, prototype_seed, backend):
     """End-to-end runs/sec of the 8-unit matrix on each backend.
 
@@ -181,54 +180,39 @@ def test_fleet_halving_executes_fewer_units(benchmark, tmp_path, prototype_seed)
           f"{result.pruned} pruned")
 
 
-def test_fleet_pool_vs_subprocess_throughput(
-    benchmark, tmp_path, prototype_seed
-):
-    """Persistent workers amortize interpreter startup: >= 3x faster.
+def test_fleet_pool_throughput(benchmark, tmp_path, prototype_seed):
+    """Absolute pool runs/sec on a sweep of short units.
 
-    The subprocess backend pays one interpreter spawn + package import
-    per unit (~0.5 s); the pool backend pays it once per worker and
-    then streams framed payloads, so a short-unit sweep is dominated by
-    actual solve time.  The 3x floor is the CI perf gate; both
-    backends must keep producing the identical canonical digest.
+    The pool pays interpreter start-up + package import once per worker
+    and then streams framed payloads, so a short-unit sweep is
+    dominated by actual solve time.  The rate lands in ``extra_info``
+    to be tracked run over run; there is no floor, and the records must
+    match the serial digest.
     """
     data = _sweep_spec(prototype_seed).to_dict()
     data["sweep"]["replicates"] = 3  # 12 short units: startup dominates
     spec = RunSpec.from_dict(data)
     expected = len(expand_matrix(spec))
 
-    def run_backend(backend: str, label: str) -> tuple[float, str]:
-        out = tmp_path / label
+    counter = iter(range(1_000_000))
+
+    def run_pool():
+        out = tmp_path / f"pool-{next(counter)}"
         started = time.monotonic()
-        result = FleetOrchestrator(out, workers=2, backend=backend).run(spec)
+        result = FleetOrchestrator(out, workers=2, backend="pool").run(spec)
         elapsed = time.monotonic() - started
         _check(result, expected)
         assert result.executed == expected
         return elapsed, canonical_results_digest(out)
 
-    subproc_s, subproc_digest = run_backend("subprocess", "subproc")
-
-    counter = iter(range(1_000_000))
-
-    def run_pool():
-        return run_backend("pool", f"pool-{next(counter)}")
-
     pool_s, pool_digest = benchmark.pedantic(run_pool, rounds=1, iterations=1)
-    assert pool_digest == subproc_digest
-    speedup = subproc_s / pool_s
+    reference_out = tmp_path / "reference"
+    FleetOrchestrator(reference_out, workers=1, backend="serial").run(spec)
+    assert pool_digest == canonical_results_digest(reference_out)
     benchmark.extra_info["runs"] = expected
-    benchmark.extra_info["subprocess_s"] = round(subproc_s, 3)
     benchmark.extra_info["pool_s"] = round(pool_s, 3)
-    benchmark.extra_info["pool_speedup"] = round(speedup, 2)
-    print(
-        f"\n  pool vs subprocess: {expected} runs, "
-        f"subprocess {expected / subproc_s:.2f} runs/sec, "
-        f"pool {expected / pool_s:.2f} runs/sec ({speedup:.1f}x)"
-    )
-    assert speedup >= 3.0, (
-        f"pool backend only {speedup:.2f}x faster than subprocess "
-        f"(floor: 3x)"
-    )
+    benchmark.extra_info["runs_per_sec"] = round(expected / pool_s, 2)
+    print(f"\n  pool: {expected} runs, {expected / pool_s:.2f} runs/sec")
 
 
 def test_fleet_asha_executes_no_more_units(benchmark, tmp_path, prototype_seed):
@@ -282,53 +266,6 @@ def test_fleet_asha_executes_no_more_units(benchmark, tmp_path, prototype_seed):
         f"\n  asha: {asha_result.executed} executed "
         f"(sync {sync_result.executed}), {asha_result.pruned} pruned, "
         f"records byte-identical"
-    )
-
-
-def test_fleet_subprocess_dispatch_latency(benchmark, tmp_path, prototype_seed):
-    """Reap latency of trivially short workers, isolated from solving.
-
-    The worker here answers instantly without importing the package, so
-    elapsed time is pure dispatch overhead: spawn + payload hand-off +
-    exit detection.  pidfd-based exit wakeup makes the detection part
-    syscall-bounded instead of poll-bounded (the old fixed 20 ms poll
-    put a ~160 ms floor under 8 sequential units all by itself).
-    """
-    echo = tmp_path / "echo_worker.py"
-    echo.write_text(
-        textwrap.dedent(
-            """\
-            import json, pickle, sys
-
-            payload = pickle.load(sys.stdin.buffer)
-            json.dump(
-                {"status": "ok", "run_id": payload["run_id"]},
-                sys.stdout,
-                sort_keys=True,
-            )
-            """
-        ),
-        encoding="utf-8",
-    )
-    from repro.fleet.backends import RunPayload, SubprocessBackend
-
-    spec = _sweep_spec(prototype_seed)
-    payloads = [RunPayload.from_unit(unit) for unit in expand_matrix(spec)]
-    backend = SubprocessBackend(
-        workers=1, worker_cmd=[sys.executable, str(echo)]
-    )
-
-    def run():
-        return list(backend.execute(payloads))
-
-    records = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert [record["status"] for record in records] == ["ok"] * len(payloads)
-    per_unit_ms = benchmark.stats.stats.mean / len(payloads) * 1000
-    benchmark.extra_info["units"] = len(payloads)
-    benchmark.extra_info["dispatch_ms_per_unit"] = round(per_unit_ms, 2)
-    print(
-        f"\n  dispatch latency: {len(payloads)} sequential units, "
-        f"{per_unit_ms:.1f} ms/unit"
     )
 
 

@@ -440,19 +440,31 @@ def load_fleet_run(out_dir: str | Path, label: str = "") -> FleetRun:
 def _load_stored_spec(path: Path) -> "RunSpec | None":
     """The spec a run directory stored, or ``None`` when it is torn.
 
-    Specs stored before the solver's kernel choice was removed carry a
-    ``kernel`` key in their ``solver`` section.  It never changed what a
-    run computed, so it is dropped here; :meth:`RunSpec.from_dict` stays
-    strict for specs users write.
+    Specs stored before a field was removed still load here, while
+    :meth:`RunSpec.from_dict` stays strict for specs users write.  None
+    of these fields is part of the run's identity:
+
+    * a ``kernel`` key in the ``solver`` section (the removed kernel
+      choice never changed what a run computed) is dropped;
+    * an ``execution.backend`` that no longer exists, or a host
+      inventory on a backend other than ``pool``, loads as ``pool``:
+      every removed backend ran its units in worker processes, and
+      ``pool`` is the one that reads ``hosts``.
     """
     import yaml
 
-    from repro.fleet.spec import RunSpec
+    from repro.fleet.spec import BACKEND_KINDS, RunSpec
 
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
         if isinstance(data, dict) and isinstance(data.get("solver"), dict):
             data["solver"].pop("kernel", None)
+        execution = data.get("execution") if isinstance(data, dict) else None
+        if isinstance(execution, dict) and (
+            execution.get("backend", "local") not in BACKEND_KINDS
+            or execution.get("hosts")
+        ):
+            execution["backend"] = "pool"
         return RunSpec.from_dict(data)
     except (yaml.YAMLError, SpecError):
         return None  # torn spec.yaml: diff falls back to unknowns
@@ -920,57 +932,57 @@ def telemetry_breakdown(run_dir: str | Path) -> dict:
 
 
 def dispatch_stats(counters: Mapping) -> list[tuple[str, str]]:
-    """Per-backend/per-host dispatch statistics from fleet counters.
+    """Dispatch statistics from fleet counters.
 
-    Surfaces what the scheduler and the pool/remote backends counted
-    while dispatching: units per backend, scheduler retries, pruned and
-    unscheduled units, pool worker (re)spawns and the sticky-affinity
-    warm-cache hit rate, plus per-host unit/crash counts and the number
-    of quarantined hosts for remote fleets.  Returns ``(label, value)``
-    display rows; empty when the run recorded no dispatch counters
-    (e.g. a serial fleet without telemetry).
+    Surfaces what the scheduler and the pool backend counted while
+    dispatching: pool units and worker (re)spawns, the sticky-affinity
+    warm-cache hit rate, scheduler retries, pruned and unscheduled
+    units, plus per-host unit/crash counts and the number of
+    quarantined hosts when the pool ran an explicit host inventory.
+    Returns ``(label, value)`` display rows; empty when the run
+    recorded no dispatch counters (e.g. a serial fleet without
+    telemetry).
     """
     rows: list[tuple[str, str]] = []
 
     def fmt(value: object) -> str:
         return f"{value:g}" if isinstance(value, float) else str(value)
 
-    for kind in ("pool", "remote"):
-        units = counters.get(f"{kind}.units")
-        if units is not None:
-            rows.append((f"{kind} units dispatched", fmt(units)))
-        spawns = counters.get(f"{kind}.spawns")
-        if spawns is not None:
-            rows.append((f"{kind} worker spawns", fmt(spawns)))
+    units = counters.get("pool.units")
+    if units is not None:
+        rows.append(("pool units dispatched", fmt(units)))
+    spawns = counters.get("pool.spawns")
+    if spawns is not None:
+        rows.append(("pool worker spawns", fmt(spawns)))
     affinity_hits = counters.get("pool.affinity_hits")
-    if affinity_hits is not None and counters.get("pool.units"):
-        rate = 100.0 * affinity_hits / counters["pool.units"]
+    if affinity_hits is not None and units:
+        rate = 100.0 * affinity_hits / units
         rows.append(
             (
                 "pool warm-cache (affinity) hits",
                 f"{fmt(affinity_hits)} ({rate:.1f}%)",
             )
         )
-    host_names = set()
+    hosts = set()
     for name in counters:
-        if name.startswith("remote.host."):
-            rest = name[len("remote.host."):]
+        if name.startswith("pool.host."):
+            rest = name[len("pool.host."):]
             for suffix in (".units", ".crashes"):
                 if rest.endswith(suffix):
-                    host_names.add(rest[: -len(suffix)])
-    hosts = sorted(host_names)
-    for host in hosts:
-        units = counters.get(f"remote.host.{host}.units", 0)
-        crashes = counters.get(f"remote.host.{host}.crashes", 0)
+                    hosts.add(rest[: -len(suffix)])
+    for host in sorted(hosts):
+        units = counters.get(f"pool.host.{host}.units", 0)
+        crashes = counters.get(f"pool.host.{host}.crashes", 0)
         rows.append(
             (
                 f"host {host!r}",
                 f"{fmt(units)} unit(s), {fmt(crashes)} crash(es)",
             )
         )
-    quarantines = counters.get("remote.quarantines")
-    if quarantines is not None:
-        rows.append(("hosts quarantined", fmt(quarantines)))
+    if hosts:
+        rows.append(
+            ("hosts quarantined", fmt(counters.get("pool.quarantines", 0)))
+        )
     for name, label in (
         ("scheduler.retries", "scheduler crash retries"),
         ("scheduler.pruned", "units pruned by halving"),
@@ -988,7 +1000,7 @@ def render_telemetry_report(run_dir: str | Path) -> str:
 
     Tables: span paths with call counts, total seconds and the share
     of the instrumented time (top-level spans only, so shares sum to
-    ~100 %); the named counters; dispatch stats (per-backend/per-host
+    ~100 %); the named counters; dispatch stats (pool and per-host
     units, retries, quarantines, warm-cache hit rates) when the run
     recorded any; and the substrate cache hit rate called out last.
     """

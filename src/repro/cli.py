@@ -11,9 +11,9 @@ Examples::
     repro fleet list
     repro fleet run prototype_smoke --workers 2
     repro fleet run my_spec.yaml --out runs/my_spec
-    repro fleet run prototype_smoke --backend subprocess --budget 60
+    repro fleet run prototype_smoke --backend pool --budget 60
     repro fleet run prototype_smoke --backend pool --workers 4
-    repro fleet run prototype_smoke --backend remote --hosts h1,h2
+    repro fleet run prototype_smoke --backend pool --hosts h1,h2
     repro fleet sweep beta_locality --replicates 4 --halving 1,2 --asha
     repro fleet sweep beta_locality --axis solver.beta=200,400 --replicates 3
     repro fleet sweep beta_locality --replicates 4 --halving 1,2
@@ -127,7 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=BACKEND_KINDS,
             default=None,
             help="execution backend (default: the spec's "
-            "execution.backend, normally 'local')",
+            "execution.backend, normally 'local': serial for one "
+            "worker without --budget, else pool)",
         )
         sub.add_argument(
             "--budget",
@@ -168,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--hosts",
             default="",
             metavar="H1[,H2...]",
-            help="host inventory for the remote backend (sets "
-            "execution.hosts; use with --backend remote)",
+            help="host inventory of the pool backend (sets "
+            "execution.hosts; use with --backend pool)",
         )
         sub.add_argument(
             "--no-resume",
@@ -596,6 +597,9 @@ def _run_fleet(args: argparse.Namespace) -> int:
                 for host in args.hosts.split(",")
                 if host.strip()
             ]
+            if args.backend:
+                # The inventory validates against the backend it runs on.
+                data["execution"]["backend"] = args.backend
         for path, value in overrides.items():
             apply_override(data, path, value)
         spec = type(spec).from_dict(data)

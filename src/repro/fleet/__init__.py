@@ -10,8 +10,9 @@ into concrete ``Conference`` / solver / simulator objects — failing
 fast on dangling references before any solve starts.  Execution is a
 layered subsystem: :mod:`repro.fleet.matrix` expands parameter sweeps
 into content-hash run units, :mod:`repro.fleet.backends` dispatches
-self-contained unit payloads through pluggable backends (serial /
-multiprocessing / subprocess worker commands), the scheduler
+self-contained unit payloads through pluggable backends (serial
+in-process, or a pool of persistent worker processes over a host
+inventory), the scheduler
 (:mod:`repro.fleet.scheduler`) owns ordering, per-unit wall-time
 budgets, crash retries and successive-halving early abort, and the
 orchestrator (:mod:`repro.fleet.orchestrator`) keeps the books —
@@ -22,7 +23,7 @@ Bundled example specs live in :mod:`repro.fleet.library`::
 
     repro fleet list
     repro fleet run prototype_smoke --workers 2
-    repro fleet run prototype_smoke --backend subprocess --budget 120
+    repro fleet run prototype_smoke --backend pool --budget 120
     repro fleet sweep beta_locality --axis solver.beta=200,400
     repro fleet sweep beta_locality --replicates 4 --halving 1,2
     repro fleet report fleet_runs/prototype_smoke
@@ -30,10 +31,9 @@ Bundled example specs live in :mod:`repro.fleet.library`::
 
 from repro.fleet.backends import (
     ExecutionBackend,
-    LocalBackend,
+    PoolBackend,
     RunPayload,
     SerialBackend,
-    SubprocessBackend,
     create_backend,
 )
 from repro.fleet.compile import (
@@ -88,8 +88,8 @@ __all__ = [
     "FleetResult",
     "FleetScheduler",
     "HalvingSpec",
-    "LocalBackend",
     "NoiseSpec",
+    "PoolBackend",
     "RunPayload",
     "RunSpec",
     "RunUnit",
@@ -97,7 +97,6 @@ __all__ = [
     "SerialBackend",
     "SimulationSpec",
     "SolverSpec",
-    "SubprocessBackend",
     "SweepSpec",
     "TopologySpec",
     "TraceSpec",

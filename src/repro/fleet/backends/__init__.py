@@ -10,20 +10,18 @@ swappable choice (DESIGN.md "Execution backends & budgets"):
   (plus :meth:`~repro.fleet.backends.base.ExecutionBackend.execute_stream`
   for live-queue dispatch and ``close()`` for worker reaping);
 * :mod:`~repro.fleet.backends.serial` — in-process, sequential;
-* :mod:`~repro.fleet.backends.local` — ``multiprocessing`` on this
-  machine (the extracted legacy pool; managed per-unit processes when a
-  wall-time budget must kill);
-* :mod:`~repro.fleet.backends.subproc` — one self-contained worker
-  command per unit (``python -m repro.fleet.backends.worker``);
 * :mod:`~repro.fleet.backends.pool` — persistent framed-protocol
-  workers spawned once per fleet, sticky substrate-affinity dispatch;
-* :mod:`~repro.fleet.backends.remote` — the pool spread over an
-  ``execution.hosts`` inventory via ``worker_cmd`` templating, with
-  least-loaded dispatch and failure-aware host quarantine.
+  workers spawned once per fleet over an ``execution.hosts`` inventory
+  (empty: one local host), least-loaded host first with sticky
+  substrate-affinity picks and failure-aware host quarantine.
 
-All backends are record-equivalent: the same spec produces bit-for-bit
-identical records (modulo the nondeterministic ``wall_time_s``) on any
-of them, which ``tests/test_fleet_backends.py`` and the CI backend
+``local``, the spec default, is not a third implementation but the rule
+:func:`create_backend` applies: ``serial`` for at most one worker and no
+per-unit budget, ``pool`` otherwise.
+
+Both backends are record-equivalent: the same spec produces bit-for-bit
+identical records (modulo the nondeterministic ``wall_time_s``) on
+either, which ``tests/test_fleet_backends.py`` and the CI backend
 matrix pin.
 """
 
@@ -36,21 +34,20 @@ from repro.fleet.backends.base import (
     crash_record,
     timeout_record,
 )
-from repro.fleet.backends.local import LocalBackend
-from repro.fleet.backends.pool import PoolBackend, resolve_worker_cmd
-from repro.fleet.backends.remote import RemoteBackend
+from repro.fleet.backends.pool import (
+    PoolBackend,
+    default_worker_cmd,
+    resolve_worker_cmd,
+)
 from repro.fleet.backends.serial import SerialBackend
-from repro.fleet.backends.subproc import SubprocessBackend, default_worker_cmd
+from repro.fleet.spec import BACKEND_KINDS
 
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
-    "LocalBackend",
     "PoolBackend",
-    "RemoteBackend",
     "RunPayload",
     "SerialBackend",
-    "SubprocessBackend",
     "crash_record",
     "create_backend",
     "default_worker_cmd",
@@ -61,44 +58,34 @@ __all__ = [
 #: Registry: ``execution.backend`` spec value -> implementation.
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.kind: SerialBackend,
-    LocalBackend.kind: LocalBackend,
-    SubprocessBackend.kind: SubprocessBackend,
     PoolBackend.kind: PoolBackend,
-    RemoteBackend.kind: RemoteBackend,
 }
 
 
 def create_backend(
     kind: str, workers: int = 1, execution=None
 ) -> ExecutionBackend:
-    """Instantiate a registered backend by its spec name.
+    """Instantiate a backend by its spec name.
 
     ``execution`` (an :class:`~repro.fleet.spec.ExecutionSpec`) supplies
-    the backend-specific knobs — ``worker_cmd`` for the pool, plus
-    ``hosts`` and ``quarantine_after`` for the remote backend; the
-    scalar backends ignore it.
+    the pool's ``hosts``, ``worker_cmd`` and ``quarantine_after``, and
+    the per-unit budget the ``local`` rule reads: ``local`` runs
+    ``serial`` when ``workers <= 1`` and ``unit_timeout_s`` is 0 (the
+    in-process path cannot kill a unit), ``pool`` otherwise.
     """
-    cls = BACKENDS.get(kind)
-    if cls is None:
+    if kind == "local":
+        budget = execution.unit_timeout_s if execution is not None else 0.0
+        kind = "serial" if workers <= 1 and not budget else "pool"
+    if kind not in BACKENDS:
         raise SpecError(
             f"unknown execution backend {kind!r}; "
-            f"choose from {sorted(BACKENDS)}"
+            f"choose from {BACKEND_KINDS}"
         )
-    if cls is PoolBackend:
-        worker_cmd = None
-        if execution is not None and execution.worker_cmd:
-            worker_cmd = resolve_worker_cmd(execution.worker_cmd)
-        return PoolBackend(workers=workers, worker_cmd=worker_cmd)
-    if cls is RemoteBackend:
-        if execution is None or not execution.hosts:
-            raise SpecError(
-                "remote backend needs a non-empty host inventory "
-                "(execution.hosts)"
-            )
-        return RemoteBackend(
+    if kind == "pool" and execution is not None:
+        return PoolBackend(
             workers=workers,
             hosts=execution.hosts,
             worker_cmd=execution.worker_cmd,
             quarantine_after=execution.quarantine_after,
         )
-    return cls(workers=workers)
+    return BACKENDS[kind](workers=workers)

@@ -82,7 +82,7 @@ class RunPayload:
         )
 
     def to_wire(self) -> dict:
-        """Plain-dict form shipped to subprocess/remote workers."""
+        """Plain-dict form shipped to pool workers."""
         return {
             "run_id": self.run_id,
             "spec": self.spec,
@@ -132,17 +132,13 @@ class ExecutionBackend(ABC):
 
     Implementations differ only in *where* the worker entry
     (:func:`repro.fleet.compile.execute_payload`) runs — the calling
-    process, a ``multiprocessing`` pool, or a spawned worker command —
-    and in how hard they can enforce a per-unit wall-time budget.  All
-    of them must yield exactly one record per payload, in any order,
-    and must never let one unit's failure abandon the rest of the
-    batch.  (One documented legacy exception: the local backend's
-    unbudgeted pool cannot detect a *hard* worker death — see
-    :mod:`repro.fleet.backends.local`.)
+    process or persistent worker processes — and in whether they can
+    kill a unit that overruns its per-unit wall-time budget.  Both must
+    yield exactly one record per payload, in any order, and must never
+    let one unit's failure abandon the rest of the batch.
     """
 
-    #: Registry name of the backend ("serial" / "local" / "subprocess"
-    #: / "pool" / "remote").
+    #: Registry name of the backend ("serial" / "pool").
     kind: ClassVar[str] = ""
 
     def __init__(self, workers: int = 1) -> None:
@@ -178,8 +174,8 @@ class ExecutionBackend(ABC):
 
         This default drains the queue in chunks of up to ``workers``
         payloads per :meth:`execute` call, so every backend supports
-        streaming; the pool/remote backends override it to feed workers
-        one payload at a time with no chunk barrier.
+        streaming; the pool backend overrides it to feed workers one
+        payload at a time with no chunk barrier.
         """
         chunk_size = max(1, self.workers)
         while source:
@@ -193,8 +189,8 @@ class ExecutionBackend(ABC):
         """Release backend resources (persistent workers, hosts).
 
         Idempotent; the scheduler closes every backend it creates —
-        including on error paths — so pool/remote workers are always
-        reaped.  Backends without long-lived state inherit this no-op.
+        including on error paths — so pool workers are always reaped.
+        Backends without long-lived state inherit this no-op.
         """
 
     def __enter__(self) -> "ExecutionBackend":

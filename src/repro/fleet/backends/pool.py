@@ -1,30 +1,45 @@
-"""Pool backend: persistent framed-protocol workers, spawned once.
+"""Pool backend: persistent framed-protocol workers over a host inventory.
 
-The subprocess backend pays one interpreter spawn + ``repro`` import +
-substrate synthesis per *unit*; on short units that overhead dominates
-the sweep.  The pool backend spawns ``workers`` loop workers
-(``python -m repro.fleet.backends.worker --loop``) once per fleet and
-streams many length-prefixed frames over each worker's stdin/stdout
-(pickled payload in, JSON record out — see
-:mod:`repro.fleet.backends.worker` for the framing), so startup is paid
+Starting one interpreter per unit pays interpreter start-up + ``repro``
+import + substrate synthesis per *unit*; on short units that overhead
+dominates the sweep.  The pool spawns ``workers`` loop workers
+(``python -m repro.fleet.backends.worker --loop``) per host once per
+fleet and streams many length-prefixed frames over each worker's
+stdin/stdout (pickled payload in, JSON record out — see
+:mod:`repro.fleet.backends.worker` for the framing), so start-up is paid
 once and each worker's in-process substrate cache survives between
 units.
 
-Dispatch is *sticky by substrate affinity*: every payload carries the
-scheduler's :func:`~repro.fleet.scheduler.substrate_affinity` key, and
-the pool routes same-key payloads to the worker that served the key
-last, maximizing warm-cache hits (``pool.affinity_hits`` /
-``pool.units`` telemetry counters).  When every pending key belongs to
-a busy worker, an idle worker steals the oldest payload rather than
-idling — stickiness is a cache heuristic, never a scheduling barrier.
+``execution.hosts`` is the inventory; empty means one local host.  Each
+host's workers run the ``execution.worker_cmd`` template with ``{host}``
+substituted (``ssh {host} python -m repro.fleet.backends.worker --loop``
+is the canonical remote shape; the empty template runs the bundled loop
+worker locally).  The framed protocol only needs stdio, so ssh, ``docker
+exec`` or a scheduler shim work unchanged.
 
-Failure semantics match the subprocess backend: over-deadline workers
-are killed and their unit recorded ``"timeout"``; a worker that closes
-its stream or emits an unreadable frame yields a ``"crashed"`` record
-(with exit code + stderr excerpt) for the scheduler to retry, and the
-worker is respawned in place.  The backend holds OS resources, so it
-must be closed — the scheduler context-manages every backend it
-creates, including on error paths.
+Idle workers are offered payloads least-loaded host first (index order
+on one host), and each pick is *sticky by substrate affinity*: every
+payload carries the scheduler's
+:func:`~repro.fleet.scheduler.substrate_affinity` key, and the pool
+routes same-key payloads to the worker that served the key last,
+maximizing warm-cache hits (``pool.affinity_hits`` / ``pool.units``
+telemetry counters).  When every pending key belongs to a busy worker,
+an idle worker steals the oldest payload rather than idling —
+stickiness is a cache heuristic, never a scheduling barrier.
+
+Over-deadline workers are killed and their unit recorded
+``"timeout"``; a worker that closes its stream or emits an unreadable
+frame yields a ``"crashed"`` record (with exit code + stderr excerpt)
+for the scheduler to retry, and the worker is respawned in place.  A
+host whose workers crash ``execution.quarantine_after`` consecutive
+units is quarantined — its other workers are drained (their in-flight
+units come back ``"crashed"`` for re-dispatch to the other hosts) and
+nothing runs on it again — unless it is the last usable host, which
+keeps respawning and leaves the verdict to ``execution.max_retries``.
+Any completed round trip (``"ok"`` or ``"error"``) resets its host's
+streak, so one flaky unit never quarantines a host.  The backend holds
+OS resources, so it must be closed — the scheduler context-manages
+every backend it creates, including on error paths.
 """
 
 from __future__ import annotations
@@ -35,9 +50,11 @@ import pickle
 import select
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
-from collections import deque
+from collections import Counter, deque
+from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 import repro.telemetry as tele
@@ -48,28 +65,47 @@ from repro.fleet.backends.base import (
     crash_record,
     timeout_record,
 )
-from repro.fleet.backends.subproc import (
-    _STDERR_EXCERPT,
-    _worker_env,
-    default_worker_cmd,
-)
 from repro.fleet.backends.worker import FRAME_HEADER_LEN, MAX_FRAME_LEN
 
 #: Select timeout cap when no unit deadline is nearer (keeps the loop
 #: responsive to worker death even on unbudgeted fleets).
 _WAIT_CAP_S = 1.0
 
+#: Characters of stderr quoted in crash diagnostics.
+_STDERR_EXCERPT = 400
+
+
+def default_worker_cmd() -> list[str]:
+    """The bundled loop worker under the current interpreter."""
+    return [sys.executable, "-m", "repro.fleet.backends.worker", "--loop"]
+
+
+def _worker_env() -> dict[str, str]:
+    """Child environment with the ``repro`` package made importable.
+
+    ``PYTHONPATH=src`` style relative entries break when the fleet runs
+    from another working directory, so the absolute directory holding
+    the installed/checked-out ``repro`` package is prepended.
+    """
+    import repro
+
+    package_root = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    entries = [package_root] + [p for p in existing.split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
+    return env
+
 
 def resolve_worker_cmd(template: str, host: str = "localhost") -> list[str]:
     """A ``worker_cmd`` template rendered into an argv list.
 
-    Empty templates resolve to the bundled loop worker under the
-    current interpreter; ``{host}`` is substituted (``ssh {host}
-    python -m repro.fleet.backends.worker --loop`` is the canonical
-    remote shape).
+    Empty templates resolve to :func:`default_worker_cmd`; ``{host}`` is
+    substituted (``ssh {host} python -m repro.fleet.backends.worker
+    --loop`` is the canonical remote shape).
     """
     if not template:
-        return default_worker_cmd() + ["--loop"]
+        return default_worker_cmd()
     try:
         rendered = template.format(host=host)
     except (KeyError, IndexError) as exc:
@@ -89,10 +125,11 @@ def resolve_worker_cmd(template: str, host: str = "localhost") -> list[str]:
 class _LoopWorker:
     """One persistent framed-protocol worker process."""
 
-    def __init__(self, index: int, cmd: Sequence[str], host: str = "") -> None:
+    def __init__(self, index: int, cmd: Sequence[str], host: str) -> None:
         self.index = index
         self.cmd = list(cmd)
-        #: Remote-backend host label; "" on the local pool.
+        #: Inventory entry the worker runs on ("localhost" when the
+        #: pool has no explicit inventory).
         self.host = host
         self.process: subprocess.Popen | None = None
         self.err: IO[bytes] | None = None
@@ -184,59 +221,38 @@ class _LoopWorker:
 
 
 class PoolBackend(ExecutionBackend):
-    """Persistent worker pool with sticky substrate-affinity dispatch."""
+    """Persistent workers over a host inventory, least-loaded + sticky."""
 
     kind = "pool"
 
     def __init__(
         self,
         workers: int = 1,
-        worker_cmd: Sequence[str] | None = None,
+        hosts: Sequence[str] = (),
+        worker_cmd: str = "",
+        quarantine_after: int = 3,
     ) -> None:
         super().__init__(workers=workers)
-        self.worker_cmd = (
-            list(worker_cmd)
-            if worker_cmd
-            else default_worker_cmd() + ["--loop"]
-        )
+        if quarantine_after < 1:
+            raise SpecError(
+                f"quarantine_after must be >= 1, got {quarantine_after}"
+            )
+        #: The explicit inventory; empty runs one local host, which the
+        #: per-host counters leave out.
+        self.hosts = tuple(hosts)
+        self.worker_cmd = worker_cmd
+        self.quarantine_after = quarantine_after
         self._pool: list[_LoopWorker] = []
         #: Sticky routing: affinity key -> worker index that served it
         #: last.  Persists across batches/rungs for the fleet lifetime.
         self._affinity: dict[str, int] = {}
+        #: host -> consecutive crashed units (reset by any round trip).
+        self._streak: Counter[str] = Counter()
+        self._quarantined: set[str] = set()
 
     # ------------------------------------------------------------------ #
-    # Worker lifecycle (the hooks the remote backend specializes)        #
+    # Worker lifecycle                                                   #
     # ------------------------------------------------------------------ #
-
-    def _make_workers(self) -> list[_LoopWorker]:
-        """The pool's worker slots (not yet spawned)."""
-        return [
-            _LoopWorker(index, self.worker_cmd)
-            for index in range(max(1, self.workers))
-        ]
-
-    def _usable(self, worker: _LoopWorker) -> bool:
-        """Whether the slot may run units (remote: host not quarantined)."""
-        return True
-
-    def _stalled_detail(self) -> str:
-        """Crash-record detail when no usable worker slot remains."""
-        return "no usable pool workers remain"
-
-    def _after_record(self, worker: _LoopWorker, record: dict) -> None:
-        """Bookkeeping after a worker round-trips a record."""
-
-    def _after_crash(
-        self, worker: _LoopWorker
-    ) -> tuple[bool, list[_LoopWorker]]:
-        """Post-crash policy: (respawn this slot?, extra drained slots)."""
-        return True, []
-
-    def _idle_order(
-        self, idle: list[_LoopWorker]
-    ) -> list[_LoopWorker]:
-        """Dispatch order over idle workers (remote: least-loaded host)."""
-        return idle
 
     def _spawn(self, worker: _LoopWorker) -> None:
         try:
@@ -246,13 +262,17 @@ class PoolBackend(ExecutionBackend):
                 f"could not spawn worker command "
                 f"{' '.join(worker.cmd)!r}: {exc}"
             ) from exc
-        tele.count(f"{self.kind}.spawns")
+        tele.count("pool.spawns")
 
     def _ensure_pool(self) -> None:
+        """Create ``workers`` slots per host once; spawn the usable ones."""
         if not self._pool:
-            self._pool = self._make_workers()
+            for host in self.hosts or ("localhost",):
+                cmd = resolve_worker_cmd(self.worker_cmd, host=host)
+                for _ in range(max(1, self.workers)):
+                    self._pool.append(_LoopWorker(len(self._pool), cmd, host))
         for worker in self._pool:
-            if self._usable(worker) and worker.process is None:
+            if worker.host not in self._quarantined and worker.process is None:
                 self._spawn(worker)
 
     def close(self) -> None:
@@ -267,7 +287,7 @@ class PoolBackend(ExecutionBackend):
 
     def _pick(
         self, worker: _LoopWorker, source: "deque[RunPayload]"
-    ) -> RunPayload | None:
+    ) -> RunPayload:
         """Sticky pick: owned key first, unclaimed key next, then steal."""
         claim = None
         for i, payload in enumerate(source):
@@ -305,42 +325,38 @@ class PoolBackend(ExecutionBackend):
 
         The caller may append to ``source`` between yielded records
         (crash retries, halving promotions); the stream ends when the
-        queue is empty and no unit is in flight.
+        queue is empty and no unit is in flight.  The last usable host
+        is never quarantined, so a queued payload always has a worker.
         """
         self._ensure_pool()
         batch_start = time.monotonic()
         while True:
-            if not any(self._usable(w) for w in self._pool):
-                while source:
-                    yield crash_record(
-                        source.popleft(), self._stalled_detail(), 0.0
-                    )
-            else:
-                idle = [
+            load = Counter(
+                w.host for w in self._pool if w.inflight is not None
+            )
+            idle = sorted(
+                (
                     w
                     for w in self._pool
-                    if self._usable(w) and w.inflight is None
-                ]
-                for worker in self._idle_order(idle):
-                    if not source:
-                        break
-                    payload = self._pick(worker, source)
-                    if payload is None:
-                        continue
-                    if not worker.alive():
-                        self._spawn(worker)
-                    tele.count(
-                        "backend.queue_wait_s",
-                        time.monotonic() - batch_start,
-                    )
-                    tele.count(f"{self.kind}.units")
-                    if worker.host:
-                        tele.count(f"remote.host.{worker.host}.units")
-                    worker.send(payload, timeout_s)
+                    if w.inflight is None and w.host not in self._quarantined
+                ),
+                key=lambda w: (load[w.host], w.index),
+            )
+            for worker in idle:
+                if not source:
+                    break
+                payload = self._pick(worker, source)
+                if not worker.alive():
+                    self._spawn(worker)
+                tele.count(
+                    "backend.queue_wait_s", time.monotonic() - batch_start
+                )
+                tele.count("pool.units")
+                if self.hosts:
+                    tele.count(f"pool.host.{worker.host}.units")
+                worker.send(payload, timeout_s)
             busy = [w for w in self._pool if w.inflight is not None]
             if not busy:
-                if source:
-                    continue
                 return
             yield from self._wait(busy, timeout_s)
 
@@ -360,6 +376,10 @@ class PoolBackend(ExecutionBackend):
         readable, _, _ = select.select(busy, [], [], wait)
         records: list[dict] = []
         for worker in readable:
+            if worker.inflight is None:
+                # Drained earlier in this wake-up: a sibling's crash
+                # quarantined its host and closed it.
+                continue
             try:
                 data = os.read(worker.fileno(), 1 << 16)
             except OSError:
@@ -388,7 +408,7 @@ class PoolBackend(ExecutionBackend):
                 continue
             worker.inflight = None
             worker.deadline = None
-            self._after_record(worker, record)
+            self._streak[worker.host] = 0
             records.append(record)
         now = time.monotonic()
         for worker in busy:
@@ -400,49 +420,48 @@ class PoolBackend(ExecutionBackend):
                 payload, wall = worker.inflight, now - worker.sent_at
                 worker.inflight = None
                 worker.close()
-                if self._usable(worker):
-                    self._spawn(worker)
+                self._spawn(worker)
                 records.append(timeout_record(payload, timeout_s, wall))
         return records
 
     def _crashed(self, worker: _LoopWorker, reason: str) -> list[dict]:
-        """Classify a dead/desynced worker; drain quarantine casualties."""
+        """Classify a dead/desynced worker; respawn it or quarantine its host."""
         now = time.monotonic()
         payload, wall = worker.inflight, now - worker.sent_at
         worker.inflight = None
-        returncode = None
-        if worker.process is not None:
-            try:
-                # Stdout EOF usually races the exit by a few ms; a short
-                # wait turns "closed its stream" into an exit code.
-                returncode = worker.process.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:
-                returncode = None  # alive but desynced; killed below
-        detail = reason
-        if returncode is not None:
-            detail = f"{detail} (exit code {returncode})"
+        try:
+            # Stdout EOF usually races the exit by a few ms; a short
+            # wait turns "closed its stream" into an exit code.
+            detail = f"{reason} (exit code {worker.process.wait(timeout=1.0)})"
+        except subprocess.TimeoutExpired:
+            detail = reason  # alive but desynced; killed below
         excerpt = worker.stderr_excerpt()
         if excerpt:
             detail = f"{detail}; stderr: {excerpt}"
         worker.close()
-        if worker.host:
-            tele.count(f"remote.host.{worker.host}.crashes")
-        respawn, casualties = self._after_crash(worker)
-        records = []
-        if payload is not None:
-            records.append(crash_record(payload, detail, wall))
-        for victim in casualties:
-            if victim.inflight is not None:
+        records = [crash_record(payload, detail, wall)]
+        host = worker.host
+        self._streak[host] += 1
+        if self.hosts:
+            tele.count(f"pool.host.{host}.crashes")
+        usable = {w.host for w in self._pool} - self._quarantined
+        if self._streak[host] < self.quarantine_after or usable == {host}:
+            self._spawn(worker)
+            return records
+        self._quarantined.add(host)
+        tele.count("pool.quarantines")
+        for sibling in self._pool:
+            if sibling.host != host:
+                continue
+            if sibling.inflight is not None:
                 records.append(
                     crash_record(
-                        victim.inflight,
-                        f"host {victim.host!r} quarantined; "
+                        sibling.inflight,
+                        f"host {host!r} quarantined; "
                         f"unit drained for re-dispatch",
-                        now - victim.sent_at,
+                        now - sibling.sent_at,
                     )
                 )
-                victim.inflight = None
-            victim.close()
-        if respawn:
-            self._spawn(worker)
+                sibling.inflight = None
+            sibling.close()
         return records

@@ -1,22 +1,17 @@
-"""Worker entry of the subprocess/pool/remote backends.
+"""Loop worker of the pool backend.
 
-``python -m repro.fleet.backends.worker`` reads one pickled payload
-(the ``RunPayload.to_wire()`` dict) from stdin, executes it through the
-shared worker entry :func:`repro.fleet.compile.execute_payload`, and
-writes the resulting record to stdout as one JSON document.  Exit code
-0 means "a record was produced" — including ``status: "error"``
-records for units that failed to compile or simulate; any other exit
-code (or unreadable output) is classified by the dispatcher as a
-worker crash.
-
-``--loop`` switches to the persistent framed protocol of the pool and
-remote backends: the worker serves *many* payloads over one process
-lifetime, each message a 4-byte big-endian length prefix followed by
-exactly that many bytes (pickled payload dict in, UTF-8 JSON record
-out, one frame per unit).  Interpreter startup and ``repro`` imports
-are paid once per worker instead of once per unit, and the in-process
-substrate cache stays warm across same-substrate units.  A clean EOF
-on stdin ends the loop with exit code 0.
+``python -m repro.fleet.backends.worker --loop`` serves many payloads
+over one process lifetime on a persistent framed protocol: each message
+is a 4-byte big-endian length prefix followed by exactly that many
+bytes (pickled ``RunPayload.to_wire()`` dict in, UTF-8 JSON record out,
+one frame per unit).  Every payload runs through the shared worker
+entry :func:`repro.fleet.compile.execute_payload`, so a unit that fails
+to compile or simulate comes back as a ``status: "error"`` record; a
+worker that dies or desyncs the stream is classified by the dispatcher
+as a crash.  Interpreter start-up and ``repro`` imports are paid once
+per worker instead of once per unit, and the in-process substrate cache
+stays warm across same-substrate units.  A clean EOF on stdin ends the
+loop with exit code 0.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ def _execute(payload: dict) -> dict:
 
 
 def serve_loop(stdin: BinaryIO, stdout: BinaryIO) -> int:
-    """Serve framed payloads until EOF (the pool/remote worker loop)."""
+    """Serve framed payloads until EOF (the pool worker loop)."""
     # Pay the import up front, while the dispatcher is still framing the
     # first payload — this is the startup cost the pool amortizes.
     from repro.fleet.compile import execute_payload  # noqa: F401
@@ -91,17 +86,16 @@ def serve_loop(stdin: BinaryIO, stdout: BinaryIO) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Single-shot by default; ``--loop`` serves framed payloads."""
+    """``--loop`` serves framed payloads; anything else is a usage error."""
     args = list(sys.argv[1:] if argv is None else argv)
-    if args == ["--loop"]:
-        return serve_loop(sys.stdin.buffer, sys.stdout.buffer)
-    if args:
-        print(f"unknown worker argument(s): {args}", file=sys.stderr)
+    if args != ["--loop"]:
+        print(
+            f"unknown worker argument(s): {args}; "
+            f"usage: python -m repro.fleet.backends.worker --loop",
+            file=sys.stderr,
+        )
         return 2
-    record = _execute(pickle.load(sys.stdin.buffer))
-    json.dump(record, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
+    return serve_loop(sys.stdin.buffer, sys.stdout.buffer)
 
 
 if __name__ == "__main__":

@@ -351,8 +351,8 @@ def execute_payload(
     """Execute one self-contained run-unit payload into a result record.
 
     This is the worker-side entry every execution backend funnels
-    through — the ``multiprocessing`` pool, the in-process serial path
-    and the ``repro.fleet.backends.worker`` subprocess module alike.
+    through — the in-process serial path and the pool's
+    ``repro.fleet.backends.worker`` loop workers alike.
     The payload is plain picklable data (no live objects), so it can
     cross process and machine boundaries; a unit that fails to compile
     or simulate comes back as a ``status: "error"`` record rather than
@@ -361,8 +361,9 @@ def execute_payload(
     With ``telemetry`` enabled a unit-scope collector is active for the
     duration: the record gains flattened ``timings``/``counters`` blocks
     plus a transient ``telemetry`` dict (the full span tree), which the
-    orchestrator strips into ``telemetry.jsonl`` — so subprocess-worker
-    telemetry rides the existing record pipe across the pickle boundary.
+    orchestrator strips into ``telemetry.jsonl`` — so pool-worker
+    telemetry rides the existing record frame across the process
+    boundary.
     Metrics are derived before telemetry is attached; results are
     bit-identical with telemetry on or off.
     """

@@ -3,7 +3,7 @@
 The execution subsystem is layered (DESIGN.md "Execution backends &
 budgets"): :mod:`repro.fleet.matrix` expands a spec into content-hash
 run units, :mod:`repro.fleet.backends` dispatches self-contained unit
-payloads (in-process, multiprocessing, or worker subprocesses), and
+payloads (in-process, or to a pool of persistent worker processes), and
 :mod:`repro.fleet.scheduler` owns ordering, wall-time budgets, crash
 retries and successive-halving early abort.  What remains here is the
 fleet's *bookkeeping*: the skip/resume cache over ``results.jsonl``,
@@ -118,7 +118,7 @@ class FleetOrchestrator:
 
     Constructor arguments override the spec's ``execution:`` section
     (None defers to the spec): ``backend`` picks the dispatch mechanism
-    (``serial`` / ``local`` / ``subprocess`` / ``pool`` / ``remote``),
+    (``serial`` / ``pool``, or the ``local`` rule choosing between them),
     ``workers`` the pool size, ``unit_timeout_s`` the per-unit
     wall-time budget, ``max_retries`` the crash re-dispatch count and
     ``total_budget_s`` the fleet-level wall-clock allowance (spent →

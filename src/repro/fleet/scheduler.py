@@ -37,7 +37,7 @@ It owns every policy decision about *how* the pending units run:
 Units may carry different effective execution configs (``execution.*``
 sweep axes); the scheduler groups them, instantiates one backend per
 distinct config, and always closes each backend — even on error paths
-— so pool/remote workers are reliably reaped.
+— so pool workers are reliably reaped.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class FleetScheduler:
         backends within one fleet); each group runs its halving plan —
         or a single substrate-ordered batch when halving is off.  Every
         backend is closed when its group ends, including on error
-        paths, so persistent pool/remote workers are always reaped.
+        paths, so persistent pool workers are always reaped.
         """
         outcome = SchedulerOutcome()
         groups: dict[ExecutionSpec, list[RunUnit]] = {}

@@ -51,10 +51,10 @@ TRACE_HOLDING_KINDS: tuple[str, ...] = HOLDING_KINDS
 #: Representation names a demand spec may reference (the paper's ladder).
 LADDER_NAMES: tuple[str, ...] = ("360p", "480p", "720p", "1080p")
 
-#: Execution backends the orchestrator can dispatch run units through.
-BACKEND_KINDS: tuple[str, ...] = (
-    "serial", "local", "subprocess", "pool", "remote"
-)
+#: Execution backends the orchestrator can dispatch run units through
+#: ("local" is the default's rule: "serial" or "pool", see
+#: :func:`repro.fleet.backends.create_backend`).
+BACKEND_KINDS: tuple[str, ...] = ("serial", "local", "pool")
 
 #: Metrics a successive-halving rung may rank grid points by (all
 #: lower-is-better; see ``repro.analysis.report.LOWER_IS_BETTER``).
@@ -779,14 +779,13 @@ class ExecutionSpec:
     & budgets".
     """
 
-    #: Dispatch mechanism: "serial" (in-process), "local"
-    #: (multiprocessing pool), "subprocess" (one self-contained worker
-    #: command per unit), "pool" (persistent framed-protocol workers
-    #: spawned once per fleet) or "remote" (pool workers spread over an
-    #: ``hosts`` inventory via ``worker_cmd`` templating).
+    #: Dispatch mechanism: "serial" (in-process), "pool" (persistent
+    #: framed-protocol workers spawned once per fleet over ``hosts``) or
+    #: "local", the rule that runs "serial" for ``workers <= 1`` without
+    #: a ``unit_timeout_s`` budget and "pool" otherwise.
     backend: str = "local"
-    #: Concurrent workers (<= 1 runs serially even on "local"; for
-    #: "remote" this is the worker count *per host*).
+    #: Concurrent workers (<= 1 runs serially on "local"; on "pool"
+    #: this is the worker count *per host*).
     workers: int = 1
     #: Per-unit wall-time budget in seconds; 0 disables the budget.
     #: Over-budget units are recorded as ``status: "timeout"``.
@@ -799,15 +798,16 @@ class ExecutionSpec:
     #: remaining units as first-class ``status: "unscheduled"`` records
     #: (a later unbudgeted rerun completes them via the resume cache).
     total_budget_s: float = 0.0
-    #: Host inventory of the "remote" backend (required for it).
+    #: Host inventory of the "pool" backend; empty runs one local host.
     hosts: tuple[str, ...] = ()
-    #: Worker command template for "pool"/"remote" workers; ``{host}``
+    #: Worker command template for "pool" workers; ``{host}``
     #: is substituted per host (e.g. ``ssh {host} python -m
     #: repro.fleet.backends.worker --loop``).  Empty runs the bundled
     #: loop worker under the current interpreter.
     worker_cmd: str = ""
-    #: "remote" only: consecutive crashes on one host before it is
+    #: "pool" only: consecutive crashes on one host before it is
     #: quarantined (drained; its in-flight units retried elsewhere).
+    #: The last usable host is never quarantined.
     quarantine_after: int = 3
     #: Collect span/counter telemetry (``telemetry.jsonl`` + the
     #: ``timings``/``counters`` envelope block).  Off by default: the
@@ -852,10 +852,10 @@ class ExecutionSpec:
                     f"execution.hosts entries must be non-empty strings, "
                     f"got {host!r}"
                 )
-        if self.backend == "remote" and not self.hosts:
+        if self.hosts and self.backend != "pool":
             raise SpecError(
-                "execution.backend 'remote' needs a non-empty "
-                "execution.hosts inventory (e.g. hosts: [localhost])"
+                f"execution.hosts is an inventory of the 'pool' backend; "
+                f"execution.backend is {self.backend!r}"
             )
 
 

@@ -194,6 +194,47 @@ class TestLoader:
         with pytest.raises(SpecError, match="unknown key.*'kernel'"):
             RunSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "backend,hosts",
+        [("subprocess", None), ("remote", ["localhost"]), ("local", ["h1"])],
+        ids=["subprocess", "remote", "local-with-hosts"],
+    )
+    def test_stored_removed_backend_keeps_the_spec(
+        self, tmp_path, fleet_dirs, backend, hosts
+    ):
+        """Runs stored before the backends folded into ``pool`` name a
+        removed backend, or a host inventory beside the default
+        ``local`` (what ``--backend remote --hosts`` stored); their spec
+        loads as a pool spec, so a comparison keeps its spec-diff rows,
+        while specs users write stay strict."""
+        import yaml
+
+        base_dir, b200_dir = fleet_dirs
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        (old_dir / "results.jsonl").write_bytes(
+            (base_dir / "results.jsonl").read_bytes()
+        )
+        data = yaml.safe_load((base_dir / "spec.yaml").read_text(encoding="utf-8"))
+        data["execution"]["backend"] = backend
+        if hosts:
+            data["execution"]["hosts"] = hosts
+        (old_dir / "spec.yaml").write_text(
+            yaml.safe_dump(data, sort_keys=False), encoding="utf-8"
+        )
+        run = load_fleet_run(old_dir)
+        assert run.spec is not None
+        assert run.spec.execution.backend == "pool"
+        assert run.spec.execution.hosts == tuple(hosts or ())
+        base = load_fleet_run(base_dir).spec
+        assert run.spec.to_dict() | {"execution": {}} == base.to_dict() | {
+            "execution": {}
+        }
+        rows = dict(spec_diff([run, load_fleet_run(b200_dir)]))
+        assert {"name", "solver.beta", "execution.backend"} <= set(rows)
+        with pytest.raises(SpecError, match="execution"):
+            RunSpec.from_dict(data)
+
     def test_duplicate_labels_deduped(self, tmp_path):
         for sub in ("a/out", "b/out"):
             d = tmp_path / sub

@@ -174,6 +174,19 @@ simulation:
         )
         assert "no such field" in capsys.readouterr().err
 
+    def test_fleet_hosts_need_the_pool_backend(self, tmp_path, capsys):
+        """``--hosts`` is a pool inventory: on the spec's default
+        ``local`` backend it is an error, not silently ignored."""
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(self.SPEC_YAML)
+        argv = ["fleet", "run", str(spec_path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--hosts", "localhost"]) == 2
+        assert "execution.hosts" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--backend", "subprocess"])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_fleet_zero_replicates_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.yaml"
         spec_path.write_text(self.SPEC_YAML)

@@ -191,14 +191,14 @@ class TestBudgetedSweepWalkthrough:
                 k: v for k, v in r.items() if k != "wall_time_s"
             }
             assert strip(record) == strip(by_id[record["run_id"]])
-        # The subprocess-backend run produced a clean record too.
-        sub = records("sub")
-        assert [r["status"] for r in sub] == ["ok"]
+        # The budgeted pool run produced a clean record too.
+        budgeted = records("budgeted")
+        assert [r["status"] for r in budgeted] == ["ok"]
 
 
 class TestClusterSweepWalkthrough:
     """The EXPERIMENTS.md cluster-sweep commands actually execute, and
-    the pool/remote/ASHA/budget claims the section makes hold."""
+    the pool/host-inventory/ASHA/budget claims the section makes hold."""
 
     @pytest.fixture(scope="class")
     def walkthrough(self):
@@ -229,9 +229,9 @@ class TestClusterSweepWalkthrough:
         pooled = records("pooled")
         assert len(pooled) == 8
         assert [r["status"] for r in pooled] == ["ok"] * 8
-        # The remote run (localhost inventory) produced a clean record.
-        remote = records("remote")
-        assert [r["status"] for r in remote] == ["ok"]
+        # The localhost-inventory run produced a clean record.
+        hosts = records("hosts")
+        assert [r["status"] for r in hosts] == ["ok"]
         # ASHA prunes the same units as the synchronous plan would, and
         # its surviving records are bit-identical to the full pooled run.
         asha = records("asha")

@@ -1,42 +1,32 @@
 """Execution backends: cross-backend bit-equivalence on a golden spec,
-the subprocess worker protocol, and the crash / timeout failure paths
-(a dying or hanging worker yields a diagnostic record, the remaining
-units still complete, and the resume cache stays usable)."""
+the ``local`` rule, and the pool worker's environment (a worker that
+floods stderr or starts from a foreign working directory still
+completes)."""
 
-import json
-import multiprocessing
-import os
 import pickle
-import subprocess
+import shlex
 import sys
 import textwrap
-import time
 
 import pytest
 
-from repro.analysis.report import canonical_results_digest, record_schema_version
+from repro.analysis.report import canonical_results_digest
 from repro.errors import SpecError
 from repro.fleet.backends import (
-    LocalBackend,
+    PoolBackend,
     RunPayload,
     SerialBackend,
-    SubprocessBackend,
     create_backend,
-    default_worker_cmd,
 )
 from repro.fleet.matrix import expand_matrix
 from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.spec import (
     AxisSpec,
+    ExecutionSpec,
     RunSpec,
     SimulationSpec,
     SweepSpec,
     WorkloadSpec,
-)
-
-FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="crash-injection via monkeypatch needs fork inheritance",
 )
 
 
@@ -84,26 +74,31 @@ class TestBackendEquivalence:
         assert [unit.run_id for unit in units] == self.GOLDEN_RUN_IDS
 
     def test_all_backends_bit_identical_on_golden_spec(self, tmp_path):
-        """The acceptance criterion: serial, local and subprocess agree
-        bit-for-bit on the golden spec's results.jsonl (canonical form,
-        i.e. modulo the nondeterministic wall_time_s)."""
+        """The acceptance criterion: serial, local, pool and a pool over
+        a localhost inventory agree bit-for-bit on the golden spec's
+        results.jsonl (canonical form, i.e. modulo the nondeterministic
+        wall_time_s)."""
+        with_hosts = golden_spec().to_dict()
+        with_hosts["execution"]["backend"] = "pool"
+        with_hosts["execution"]["hosts"] = ["localhost", "127.0.0.1"]
         digests = {}
-        for backend, workers in (
-            ("serial", 1),
-            ("local", 2),
-            ("subprocess", 2),
+        for label, backend, workers, spec in (
+            ("serial", "serial", 1, golden_spec()),
+            ("local", "local", 2, golden_spec()),
+            ("pool", "pool", 2, golden_spec()),
+            ("hosts", None, 1, RunSpec.from_dict(with_hosts)),
         ):
-            out = tmp_path / backend
+            out = tmp_path / label
             result = FleetOrchestrator(
                 out, workers=workers, backend=backend
-            ).run(golden_spec())
+            ).run(spec)
             assert result.executed == 4 and result.failed == 0
-            digests[backend] = canonical_results_digest(out)
+            digests[label] = canonical_results_digest(out)
         assert len(set(digests.values())) == 1, digests
 
     def test_local_default_path_byte_stable_across_runs(self, tmp_path):
-        """Two cold runs of the default (local) path digest identically
-        — the legacy orchestrator behavior, now behind the backend."""
+        """Two cold runs of the default parallel path (``local`` with 2
+        workers, which resolves to the pool) digest identically."""
         first = FleetOrchestrator(tmp_path / "a", workers=2).run(golden_spec())
         second = FleetOrchestrator(tmp_path / "b", workers=2).run(golden_spec())
         assert first.failed == second.failed == 0
@@ -121,70 +116,55 @@ class TestBackendEquivalence:
 
     def test_create_backend_registry(self):
         assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("local", workers=2), LocalBackend)
-        assert isinstance(create_backend("subprocess"), SubprocessBackend)
-        with pytest.raises(SpecError, match="unknown execution backend"):
-            create_backend("cluster")
+        assert isinstance(create_backend("pool", workers=2), PoolBackend)
+        for removed in ("cluster", "subprocess", "remote"):
+            with pytest.raises(SpecError, match="unknown execution backend"):
+                create_backend(removed)
+
+    def test_local_rule(self):
+        """``local`` is a rule, not a backend: in-process for at most
+        one worker without a budget, the pool whenever units run in
+        parallel or must be killable."""
+        assert isinstance(create_backend("local", workers=0), SerialBackend)
+        assert isinstance(create_backend("local", workers=1), SerialBackend)
+        pool = create_backend("local", workers=2)
+        assert isinstance(pool, PoolBackend) and pool.workers == 2
+        budgeted = ExecutionSpec(unit_timeout_s=30.0, worker_cmd="w {host}")
+        pool = create_backend("local", workers=1, execution=budgeted)
+        assert isinstance(pool, PoolBackend) and pool.worker_cmd == "w {host}"
 
     def test_unknown_backend_rejected_by_orchestrator(self, tmp_path):
-        with pytest.raises(SpecError, match="backend"):
-            FleetOrchestrator(tmp_path, backend="cluster")
+        for removed in ("cluster", "subprocess", "remote"):
+            with pytest.raises(SpecError, match="backend"):
+                FleetOrchestrator(tmp_path, backend=removed)
 
 
-class TestWorkerProtocol:
-    def test_worker_module_round_trip(self):
-        """``python -m repro.fleet.backends.worker`` is the real wire
-        protocol: pickled payload on stdin, one JSON record on stdout."""
-        payload = payloads_for(single_spec())[0]
-        env = dict(os.environ)
-        import repro
-
-        src = str(os.path.dirname(os.path.dirname(repro.__file__)))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            default_worker_cmd(),
-            input=pickle.dumps(payload.to_wire()),
-            capture_output=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        record = json.loads(proc.stdout.decode("utf-8"))
-        assert record["status"] == "ok"
-        assert record["run_id"] == payload.run_id
-        # Writers stamp the minimal version describing the record — a
-        # no-fault unit stays at the pre-fault-layer schema.
-        assert record["schema_version"] == record_schema_version(record)
-
+class TestPoolWorkerEnvironment:
     def test_noisy_worker_output_cannot_deadlock_dispatch(self, tmp_path):
-        """A worker spewing far more than one OS pipe buffer (~64 KiB)
-        on stderr must still complete: worker output is spooled to temp
-        files, never to pipes the poll-only dispatcher would leave
-        full."""
+        """A loop worker spewing far more than one OS pipe buffer
+        (~64 KiB) on stderr must still complete: worker stderr is
+        spooled to a temp file, never to a pipe the dispatcher would
+        leave full."""
         noisy = tmp_path / "noisy_worker.py"
         noisy.write_text(
             textwrap.dedent(
                 """\
-                import json, pickle, sys
+                import sys
 
-                payload = pickle.load(sys.stdin.buffer)
                 for _ in range(2000):
                     print("x" * 120, file=sys.stderr)  # ~240 KiB
-                from repro.fleet.compile import execute_payload
+                from repro.fleet.backends.worker import serve_loop
 
-                record = execute_payload(
-                    payload["run_id"], payload["spec"], payload["axes"],
-                    payload["seed"],
-                )
-                json.dump(record, sys.stdout, sort_keys=True)
+                sys.exit(serve_loop(sys.stdin.buffer, sys.stdout.buffer))
                 """
             ),
             encoding="utf-8",
         )
-        backend = SubprocessBackend(
-            workers=1, worker_cmd=[sys.executable, str(noisy)]
+        backend = PoolBackend(
+            workers=1, worker_cmd=shlex.join([sys.executable, str(noisy)])
         )
-        records = list(backend.execute(payloads_for(single_spec())))
+        with backend:
+            records = list(backend.execute(payloads_for(single_spec())))
         assert [record["status"] for record in records] == ["ok"]
 
     def test_worker_env_survives_foreign_cwd(self, tmp_path, monkeypatch):
@@ -192,184 +172,9 @@ class TestWorkerProtocol:
         fleet started from an unrelated working directory still finds
         the repro package in its workers."""
         monkeypatch.chdir(tmp_path)
-        backend = SubprocessBackend(workers=1)
-        records = list(backend.execute(payloads_for(single_spec())))
+        with PoolBackend(workers=1) as backend:
+            records = list(backend.execute(payloads_for(single_spec())))
         assert [record["status"] for record in records] == ["ok"]
-
-
-def _crashy_worker(tmp_path, crash_seed: int) -> list[str]:
-    """A worker command that dies with exit code 3 for one seed and
-    behaves like the bundled worker for every other payload."""
-    script = tmp_path / "crashy_worker.py"
-    script.write_text(
-        textwrap.dedent(
-            f"""\
-            import json, pickle, sys
-
-            payload = pickle.load(sys.stdin.buffer)
-            if payload["seed"] == {crash_seed}:
-                print("synthetic crash", file=sys.stderr)
-                sys.exit(3)
-            from repro.fleet.compile import execute_payload
-
-            record = execute_payload(
-                payload["run_id"], payload["spec"], payload["axes"],
-                payload["seed"],
-            )
-            json.dump(record, sys.stdout, sort_keys=True)
-            """
-        ),
-        encoding="utf-8",
-    )
-    return [sys.executable, str(script)]
-
-
-def _sleepy_worker(tmp_path, sleep_seed: int) -> list[str]:
-    """A worker command that hangs for one seed (the budget test)."""
-    script = tmp_path / "sleepy_worker.py"
-    script.write_text(
-        textwrap.dedent(
-            f"""\
-            import json, pickle, sys, time
-
-            payload = pickle.load(sys.stdin.buffer)
-            if payload["seed"] == {sleep_seed}:
-                time.sleep(300)
-            from repro.fleet.compile import execute_payload
-
-            record = execute_payload(
-                payload["run_id"], payload["spec"], payload["axes"],
-                payload["seed"],
-            )
-            json.dump(record, sys.stdout, sort_keys=True)
-            """
-        ),
-        encoding="utf-8",
-    )
-    return [sys.executable, str(script)]
-
-
-class TestSubprocessFailurePaths:
-    def crash_spec(self) -> RunSpec:
-        """2 replicates: seed 3 healthy, seed 4 driven to crash/hang."""
-        data = single_spec().to_dict()
-        data["name"] = "crashy"
-        data["sweep"] = {"replicates": 2, "axes": []}
-        return RunSpec.from_dict(data)
-
-    def test_worker_crash_yields_diagnostic_and_rest_completes(
-        self, tmp_path
-    ):
-        backend = SubprocessBackend(
-            workers=2, worker_cmd=_crashy_worker(tmp_path, crash_seed=4)
-        )
-        records = list(backend.execute(payloads_for(self.crash_spec())))
-        by_status = {record["status"]: record for record in records}
-        assert set(by_status) == {"ok", "crashed"}
-        crashed = by_status["crashed"]
-        assert "exited with code 3" in crashed["error"]
-        assert "synthetic crash" in crashed["error"]  # stderr excerpt
-        assert crashed["seed"] == 4
-
-    def test_hung_worker_times_out_and_rest_completes(self, tmp_path):
-        backend = SubprocessBackend(
-            workers=2, worker_cmd=_sleepy_worker(tmp_path, sleep_seed=4)
-        )
-        started = time.monotonic()
-        records = list(
-            backend.execute(payloads_for(self.crash_spec()), timeout_s=1.0)
-        )
-        elapsed = time.monotonic() - started
-        by_status = {record["status"]: record for record in records}
-        assert set(by_status) == {"ok", "timeout"}
-        assert "UnitTimeout" in by_status["timeout"]["error"]
-        assert elapsed < 60  # the hung worker was killed, not awaited
-
-    def test_crash_surfaces_as_error_record_and_cache_resumes(
-        self, tmp_path, monkeypatch
-    ):
-        """End-to-end: the orchestrator persists the crash as a clear
-        error record (with the attempts count), the healthy unit's
-        record survives, and a later run with a healthy backend
-        re-executes only the failed unit."""
-        spec = self.crash_spec()
-        out = tmp_path / "out"
-        worker_cmd = _crashy_worker(tmp_path, crash_seed=4)
-        from repro.fleet import scheduler as scheduler_module
-
-        monkeypatch.setattr(
-            scheduler_module,
-            "create_backend",
-            lambda kind, workers=1, **_: SubprocessBackend(
-                workers=workers, worker_cmd=worker_cmd
-            ),
-        )
-        result = FleetOrchestrator(
-            out, backend="subprocess", max_retries=1
-        ).run(spec)
-        assert result.failed == 1
-        error = [r for r in result.records if r["status"] == "error"][0]
-        assert "WorkerCrash" in error["error"]
-        assert error["attempts"] == 2  # first try + one retry
-
-        # The healthy unit is cached; re-running with the bundled
-        # (working) worker re-executes only the crashed unit.
-        monkeypatch.undo()
-        retry = FleetOrchestrator(out, backend="subprocess").run(spec)
-        assert retry.executed == 1 and retry.skipped == 1
-        assert retry.failed == 0
-
-
-@FORK_ONLY
-class TestLocalManagedFailurePaths:
-    """The local backend's managed mode (active when a budget is set):
-    hard deadlines and crash detection on multiprocessing children.
-
-    Crash injection monkeypatches ``RunPayload.execute`` in the parent;
-    forked children inherit the patch, so no worker-side hook is
-    needed.
-    """
-
-    def test_managed_timeout_kills_and_rest_completes(self, monkeypatch):
-        data = single_spec().to_dict()
-        data["sweep"] = {"replicates": 2, "axes": []}
-        payloads = payloads_for(RunSpec.from_dict(data))
-
-        real_execute = RunPayload.execute
-
-        def hang_for_seed_4(self):
-            if self.seed == 4:
-                time.sleep(300)
-            return real_execute(self)
-
-        monkeypatch.setattr(RunPayload, "execute", hang_for_seed_4)
-        backend = LocalBackend(workers=2)
-        started = time.monotonic()
-        records = list(backend.execute(payloads, timeout_s=1.5))
-        assert time.monotonic() - started < 60
-        by_status = {record["status"]: record for record in records}
-        assert set(by_status) == {"ok", "timeout"}
-        assert by_status["timeout"]["seed"] == 4
-
-    def test_managed_crash_detected_and_rest_completes(self, monkeypatch):
-        spec = single_spec()
-        data = spec.to_dict()
-        data["sweep"] = {"replicates": 2, "axes": []}
-        payloads = payloads_for(RunSpec.from_dict(data))
-
-        real_execute = RunPayload.execute
-
-        def crash_for_seed_4(self):
-            if self.seed == 4:
-                os._exit(7)
-            return real_execute(self)
-
-        monkeypatch.setattr(RunPayload, "execute", crash_for_seed_4)
-        backend = LocalBackend(workers=2)
-        records = list(backend.execute(payloads, timeout_s=60.0))
-        by_status = {record["status"]: record for record in records}
-        assert set(by_status) == {"ok", "crashed"}
-        assert "exited with code 7" in by_status["crashed"]["error"]
 
 
 class TestSerialBudget:

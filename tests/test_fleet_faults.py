@@ -206,14 +206,14 @@ class TestByteStability:
             assert "faults_injected" not in record
 
     def test_outage_spec_bit_identical_across_backends(self, tmp_path):
-        """The faulted acceptance criterion: serial, local and
-        subprocess agree bit-for-bit on the canonical outage spec,
-        resilience metrics included."""
+        """The faulted acceptance criterion: serial, local and pool
+        agree bit-for-bit on the canonical outage spec, resilience
+        metrics included."""
         digests = {}
         for backend, workers in (
             ("serial", 1),
             ("local", 2),
-            ("subprocess", 2),
+            ("pool", 2),
         ):
             out = tmp_path / backend
             result = FleetOrchestrator(

@@ -1,12 +1,14 @@
-"""Pool and remote backends: the framed loop-worker protocol, sticky
-affinity dispatch, crash/timeout/respawn paths, host quarantine, and
-the scheduler's guarantee that every backend — pool workers included —
-is reaped even when execution blows up."""
+"""Pool backend: the framed loop-worker protocol, sticky affinity
+dispatch, crash/timeout/respawn paths, host inventories and quarantine,
+and the scheduler's guarantee that every backend — pool workers
+included — is reaped even when execution blows up."""
 
 import io
 import json
 import os
 import pickle
+import select
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -16,11 +18,10 @@ from collections import deque
 import pytest
 
 import repro.telemetry as tele
-from repro.analysis.report import canonical_results_digest
+from repro.analysis.report import canonical_results_digest, record_schema_version
 from repro.errors import SpecError
 from repro.fleet.backends import (
     PoolBackend,
-    RemoteBackend,
     RunPayload,
     SerialBackend,
     create_backend,
@@ -112,7 +113,7 @@ class TestLoopWorkerProtocol:
         and exits 0 on clean stdin EOF — the real wire protocol."""
         payloads = payloads_for(golden_spec())[:2]
         proc = subprocess.Popen(
-            default_worker_cmd() + ["--loop"],
+            default_worker_cmd(),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=_worker_src_env(),
@@ -131,10 +132,19 @@ class TestLoopWorkerProtocol:
         assert [r["run_id"] for r in records] == [
             p.run_id for p in payloads
         ]
+        # Writers stamp the minimal version describing the record — a
+        # no-fault unit stays at the pre-fault-layer schema.
+        for record in records:
+            assert record["schema_version"] == record_schema_version(record)
 
-    def test_unknown_worker_args_exit_2(self):
+    @pytest.mark.parametrize(
+        "args", [["--loop", "--bogus"], []], ids=["bogus", "bare"]
+    )
+    def test_unknown_worker_args_exit_2(self, args):
+        """``--loop`` is the worker's only mode; a bare invocation is a
+        usage error like any unknown argument."""
         proc = subprocess.run(
-            default_worker_cmd() + ["--bogus"],
+            default_worker_cmd()[:-1] + args,
             input=b"",
             capture_output=True,
             env=_worker_src_env(),
@@ -144,30 +154,29 @@ class TestLoopWorkerProtocol:
         assert "unknown worker argument" in proc.stderr.decode()
 
 
-class TestPoolEquivalence:
-    def test_pool_bit_identical_to_serial(self, tmp_path):
-        spec = golden_spec()
-        digests = {}
-        for backend, workers in (("serial", 1), ("pool", 2)):
-            out = tmp_path / backend
-            result = FleetOrchestrator(
-                out, workers=workers, backend=backend
-            ).run(spec)
-            assert result.executed == 4 and result.failed == 0
-            digests[backend] = canonical_results_digest(out)
-        assert digests["serial"] == digests["pool"]
-
-    def test_remote_localhost_bit_identical_to_serial(self, tmp_path):
-        """The remote backend with a localhost inventory (default
-        worker_cmd, no ssh) reproduces the serial digest — the CI shape
-        for pinning remote equivalence without real hosts."""
+class TestHostInventory:
+    def test_localhost_inventory_spreads_units_and_matches_serial(
+        self, tmp_path
+    ):
+        """A pool over a two-entry localhost inventory (default
+        worker_cmd, no ssh) dispatches to both hosts, counts units per
+        host, and reproduces the serial digest — the CI shape for
+        pinning multi-host equivalence without real hosts."""
         data = golden_spec().to_dict()
-        data["execution"]["backend"] = "remote"
+        data["execution"]["backend"] = "pool"
         data["execution"]["hosts"] = ["localhost", "127.0.0.1"]
         spec = RunSpec.from_dict(data)
-        out = tmp_path / "remote"
-        result = FleetOrchestrator(out, workers=1).run(spec)
+        out = tmp_path / "hosts"
+        with tele.collect() as collector:
+            result = FleetOrchestrator(out, workers=1).run(spec)
         assert result.executed == 4 and result.failed == 0
+        counters = collector.counters_dict()
+        per_host = [
+            counters[f"pool.host.{host}.units"]
+            for host in ("localhost", "127.0.0.1")
+        ]
+        assert min(per_host) >= 1 and sum(per_host) == 4
+        assert "pool.quarantines" not in counters
         serial_out = tmp_path / "serial"
         FleetOrchestrator(serial_out, backend="serial").run(golden_spec())
         assert canonical_results_digest(out) == canonical_results_digest(
@@ -192,6 +201,8 @@ class TestStickyAffinity:
         assert counters["pool.units"] == len(payloads)
         assert counters["pool.spawns"] == 1
         assert counters["pool.affinity_hits"] == len(payloads) - len(groups)
+        # Without an explicit inventory there are no per-host counters.
+        assert not [name for name in counters if name.startswith("pool.host.")]
 
     def test_affinity_rides_payload_not_wire(self):
         payload = payloads_for(single_spec())[0]
@@ -199,7 +210,7 @@ class TestStickyAffinity:
         assert "affinity" not in payload.to_wire()
 
 
-def _crashy_loop_worker(tmp_path, crash_seed: int) -> list[str]:
+def _crashy_loop_worker(tmp_path, crash_seed: int) -> str:
     """A loop worker that dies mid-protocol for one seed."""
     script = tmp_path / "crashy_loop.py"
     script.write_text(
@@ -229,10 +240,10 @@ def _crashy_loop_worker(tmp_path, crash_seed: int) -> list[str]:
         ),
         encoding="utf-8",
     )
-    return [sys.executable, str(script)]
+    return shlex.join([sys.executable, str(script)])
 
 
-def _sleepy_loop_worker(tmp_path, sleep_seed: int) -> list[str]:
+def _sleepy_loop_worker(tmp_path, sleep_seed: int) -> str:
     """A loop worker that hangs for one seed (the budget test)."""
     script = tmp_path / "sleepy_loop.py"
     script.write_text(
@@ -261,7 +272,7 @@ def _sleepy_loop_worker(tmp_path, sleep_seed: int) -> list[str]:
         ),
         encoding="utf-8",
     )
-    return [sys.executable, str(script)]
+    return shlex.join([sys.executable, str(script)])
 
 
 class TestPoolFailurePaths:
@@ -311,9 +322,13 @@ class TestPoolFailurePaths:
         assert set(by_status) == {"ok", "timeout"}
         assert "UnitTimeout" in by_status["timeout"]["error"]
 
-    def test_crash_retried_end_to_end_then_errors(self, tmp_path, monkeypatch):
+    def test_crash_becomes_error_record_and_cache_resumes(
+        self, tmp_path, monkeypatch
+    ):
         """Through the orchestrator: the pool crash is retried, gives up
-        as a first-class error record, and the healthy unit survives."""
+        as a first-class error record (with the attempts count), the
+        healthy unit's record survives, and a later run with the bundled
+        (working) worker re-executes only the failed unit."""
         from repro.fleet import scheduler as scheduler_module
 
         worker_cmd = _crashy_loop_worker(tmp_path, crash_seed=4)
@@ -330,8 +345,14 @@ class TestPoolFailurePaths:
         ).run(self.crash_spec())
         assert result.failed == 1
         error = [r for r in result.records if r["status"] == "error"][0]
+        assert "WorkerCrash" in error["error"]
         assert "gave up after 2 attempt(s)" in error["error"]
-        assert error["attempts"] == 2
+        assert error["attempts"] == 2  # first try + one retry
+
+        monkeypatch.undo()
+        retry = FleetOrchestrator(out, backend="pool").run(self.crash_spec())
+        assert retry.executed == 1 and retry.skipped == 1
+        assert retry.failed == 0
 
     def test_close_reaps_worker_processes(self):
         backend = PoolBackend(workers=2)
@@ -344,42 +365,45 @@ class TestPoolFailurePaths:
         assert all(p.poll() is not None for p in procs)
 
 
-class TestRemoteQuarantine:
-    def _host_keyed_worker(self, tmp_path) -> str:
-        """A ``worker_cmd`` template whose behavior keys off ``{host}``:
-        the ``bad`` host dies instantly, every other host serves the
-        normal loop protocol."""
-        script = tmp_path / "host_worker.py"
-        script.write_text(
-            textwrap.dedent(
-                """\
-                import json, pickle, sys
-                from repro.fleet.backends.worker import read_frame, write_frame
+def _host_keyed_worker(tmp_path) -> str:
+    """A ``worker_cmd`` template whose behavior keys off ``{host}``: the
+    ``bad`` host dies instantly, every other host serves the normal loop
+    protocol."""
+    script = tmp_path / "host_worker.py"
+    script.write_text(
+        textwrap.dedent(
+            """\
+            import sys
 
-                if sys.argv[1] == "bad":
-                    print("host down", file=sys.stderr)
-                    sys.exit(7)
-                from repro.fleet.compile import execute_payload
+            if sys.argv[1] == "bad":
+                print("host down", file=sys.stderr)
+                sys.exit(7)
+            from repro.fleet.backends.worker import serve_loop
 
-                while True:
-                    data = read_frame(sys.stdin.buffer)
-                    if data is None:
-                        sys.exit(0)
-                    payload = pickle.loads(data)
-                    record = execute_payload(
-                        payload["run_id"], payload["spec"], payload["axes"],
-                        payload["seed"],
-                    )
-                    write_frame(
-                        sys.stdout.buffer,
-                        json.dumps(record, sort_keys=True).encode("utf-8"),
-                    )
-                """
-            ),
-            encoding="utf-8",
-        )
-        return f"{sys.executable} {script} {{host}}"
+            sys.exit(serve_loop(sys.stdin.buffer, sys.stdout.buffer))
+            """
+        ),
+        encoding="utf-8",
+    )
+    return shlex.join([sys.executable, str(script)]) + " {host}"
 
+
+def _pool_factory(monkeypatch, **pool_kwargs) -> list[PoolBackend]:
+    """Route the scheduler's backends to a configured pool; returns the
+    list the created backends are appended to."""
+    from repro.fleet import scheduler as scheduler_module
+
+    created: list[PoolBackend] = []
+
+    def make_pool(kind, workers=1, **_):
+        created.append(PoolBackend(workers=workers, **pool_kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(scheduler_module, "create_backend", make_pool)
+    return created
+
+
+class TestQuarantine:
     def test_crashing_host_is_quarantined_and_units_rerouted(
         self, tmp_path, monkeypatch
     ):
@@ -387,20 +411,11 @@ class TestRemoteQuarantine:
         the host is quarantined after the configured streak, and the
         scheduler's retries land every unit on the good host — the
         fleet ends with zero failures."""
-        from repro.fleet import scheduler as scheduler_module
-
-        template = self._host_keyed_worker(tmp_path)
-
-        def make_remote(kind, workers=1, **_):
-            return RemoteBackend(
-                workers=workers,
-                hosts=("good", "bad"),
-                worker_cmd=template,
-                quarantine_after=1,
-            )
-
-        monkeypatch.setattr(
-            scheduler_module, "create_backend", make_remote
+        _pool_factory(
+            monkeypatch,
+            hosts=("good", "bad"),
+            worker_cmd=_host_keyed_worker(tmp_path),
+            quarantine_after=1,
         )
         out = tmp_path / "out"
         with tele.collect() as collector:
@@ -410,49 +425,93 @@ class TestRemoteQuarantine:
         assert result.failed == 0
         assert result.executed == 4
         counters = collector.counters_dict()
-        assert counters["remote.quarantines"] == 1
-        assert counters["remote.host.bad.crashes"] >= 1
-        assert counters["remote.host.good.units"] == 4 + counters.get(
+        assert counters["pool.quarantines"] == 1
+        assert counters["pool.host.bad.crashes"] >= 1
+        assert counters["pool.host.good.units"] == 4 + counters.get(
             "scheduler.retries", 0
-        ) - counters["remote.host.bad.units"]
+        ) - counters["pool.host.bad.units"]
         serial_out = tmp_path / "serial"
         FleetOrchestrator(serial_out, backend="serial").run(golden_spec())
         assert canonical_results_digest(out) == canonical_results_digest(
             serial_out
         )
 
-    def test_all_hosts_quarantined_degrades_to_errors_not_hang(
-        self, tmp_path
+    def test_siblings_dead_in_one_wake_up_are_drained_once(
+        self, tmp_path, monkeypatch
     ):
-        """A fully dead cluster must terminate with error records."""
-        script = tmp_path / "dead.py"
-        script.write_text("import sys; sys.exit(9)\n", encoding="utf-8")
-        backend = RemoteBackend(
-            workers=1,
-            hosts=("h1",),
-            worker_cmd=f"{sys.executable} {script}",
+        """Both workers of the ``bad`` host hit EOF in the same select
+        wake-up: the first crash quarantines the host and drains its
+        sibling, which the same wake-up must then skip rather than read
+        from its closed process.  Holding every select until both bad
+        workers have exited makes the double EOF deterministic."""
+        created = _pool_factory(
+            monkeypatch,
+            hosts=("bad", "good"),
+            worker_cmd=_host_keyed_worker(tmp_path),
             quarantine_after=1,
         )
-        payloads = payloads_for(single_spec())
+        real_select = select.select
+
+        def select_after_bad_exits(rlist, wlist, xlist, timeout=None):
+            bad = [
+                worker.process
+                for worker in created[-1]._pool
+                if worker.host == "bad" and worker.process is not None
+            ]
+            deadline = time.monotonic() + 30.0
+            while (
+                any(process.poll() is None for process in bad)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            return real_select(rlist, wlist, xlist, timeout)
+
+        monkeypatch.setattr(select, "select", select_after_bad_exits)
+        with tele.collect() as collector:
+            result = FleetOrchestrator(
+                tmp_path / "out", backend="pool", workers=2, max_retries=1
+            ).run(golden_spec())
+        assert result.failed == 0 and result.executed == 4
+        counters = collector.counters_dict()
+        assert counters["pool.quarantines"] == 1
+        assert counters["scheduler.retries"] == 2  # both drained units
+
+    @pytest.mark.parametrize(
+        "hosts",
+        [(), ("h1",), ("h1", "h2")],
+        ids=["no-inventory", "one-host", "two-hosts"],
+    )
+    def test_dead_inventory_ends_in_errors(
+        self, tmp_path, monkeypatch, hosts
+    ):
+        """A fully dead inventory terminates: the last usable host is
+        never quarantined, so it keeps respawning and every unit ends
+        as an ``error`` record once ``max_retries`` is spent."""
+        script = tmp_path / "dead.py"
+        script.write_text("import sys; sys.exit(9)\n", encoding="utf-8")
+        _pool_factory(
+            monkeypatch,
+            hosts=hosts,
+            worker_cmd=shlex.join([sys.executable, str(script)]),
+            quarantine_after=1,
+        )
         started = time.monotonic()
-        try:
-            records = list(backend.execute(payloads))
-        finally:
-            backend.close()
+        with tele.collect() as collector:
+            result = FleetOrchestrator(
+                tmp_path / "out", backend="pool", workers=1, max_retries=2
+            ).run(golden_spec())
         assert time.monotonic() - started < 60
-        assert [r["status"] for r in records] == ["crashed"]
-        # Once quarantined, further dispatch drains to crashes too.
-        try:
-            drained = list(backend.execute(payloads_for(single_spec())))
-        finally:
-            backend.close()
-        assert [r["status"] for r in drained] == ["crashed"]
-        assert "quarantined" in drained[0]["error"]
+        assert [r["status"] for r in result.records] == ["error"] * 4
+        assert all(r["attempts"] == 3 for r in result.records)
+        assert "exit code 9" in result.records[0]["error"]
+        counters = collector.counters_dict()
+        assert counters.get("pool.quarantines", 0) == max(0, len(hosts) - 1)
 
 
 class TestWorkerCmdTemplate:
     def test_empty_template_is_bundled_loop_worker(self):
-        assert resolve_worker_cmd("") == default_worker_cmd() + ["--loop"]
+        assert resolve_worker_cmd("") == default_worker_cmd()
+        assert default_worker_cmd()[-1] == "--loop"
 
     def test_host_substitution(self):
         argv = resolve_worker_cmd(
@@ -472,26 +531,28 @@ class TestWorkerCmdTemplate:
 
 
 class TestBackendFactory:
-    def test_create_pool_and_remote(self):
+    def test_create_pool_with_hosts(self):
         pool = create_backend("pool", workers=2)
         assert isinstance(pool, PoolBackend) and pool.workers == 2
+        assert pool.hosts == ()
         execution = ExecutionSpec(
-            backend="remote", hosts=("a", "b"), quarantine_after=2
+            backend="pool", hosts=("a", "b"), quarantine_after=2
         )
-        remote = create_backend("remote", workers=1, execution=execution)
-        assert isinstance(remote, RemoteBackend)
-        assert remote.hosts == ["a", "b"]
-        assert remote.quarantine_after == 2
+        pool = create_backend("pool", workers=1, execution=execution)
+        assert isinstance(pool, PoolBackend)
+        assert pool.hosts == ("a", "b")
+        assert pool.quarantine_after == 2
 
-    def test_remote_without_hosts_rejected(self):
-        with pytest.raises(SpecError, match="hosts"):
-            create_backend("remote")
-        with pytest.raises(SpecError, match="hosts"):
-            RemoteBackend(hosts=())
+    def test_bad_quarantine_streak_rejected(self):
+        with pytest.raises(SpecError, match="quarantine_after"):
+            PoolBackend(hosts=("a",), quarantine_after=0)
 
-    def test_remote_spec_requires_hosts(self):
-        with pytest.raises(SpecError, match="hosts"):
-            ExecutionSpec(backend="remote")
+    def test_hosts_need_the_pool_backend(self):
+        """An inventory on any other backend fails validation instead
+        of being silently ignored."""
+        for backend in ("serial", "local"):
+            with pytest.raises(SpecError, match="hosts"):
+                ExecutionSpec(backend=backend, hosts=("a",))
 
 
 class TestDispatchStats:
@@ -504,9 +565,9 @@ class TestDispatchStats:
                     "pool.units": 8,
                     "pool.spawns": 2,
                     "pool.affinity_hits": 6,
-                    "remote.host.node1.example.com.units": 5,
-                    "remote.host.node1.example.com.crashes": 1,
-                    "remote.quarantines": 1,
+                    "pool.host.node1.example.com.units": 5,
+                    "pool.host.node1.example.com.crashes": 1,
+                    "pool.quarantines": 1,
                     "scheduler.retries": 2,
                 }
             )
@@ -537,6 +598,8 @@ class TestDispatchStats:
         assert "pool units dispatched" in text
         assert "pool worker spawns" in text
         assert "pool warm-cache (affinity) hits" in text
+        # One implicit host: no per-host or quarantine rows.
+        assert "host '" not in text and "quarantined" not in text
 
 
 class TestStreamProtocol:

@@ -5,6 +5,7 @@ execution-spec validation/sweepability, and scheduling determinism."""
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -52,9 +53,16 @@ class TestExecutionSpec:
         assert spec.execution.backend == "local"
         assert RunSpec.from_yaml(spec.to_yaml()) == spec
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["cluster", "subprocess", "remote"])
+    def test_unknown_backend_rejected(self, backend):
+        """Unknown names and the removed backends fail the same way,
+        from the dataclass and from a spec document alike."""
         with pytest.raises(SpecError, match="execution.backend"):
-            ExecutionSpec(backend="cluster")
+            ExecutionSpec(backend=backend)
+        data = grid_spec().to_dict()
+        data["execution"]["backend"] = backend
+        with pytest.raises(SpecError, match="execution.backend"):
+            RunSpec.from_dict(data)
 
     def test_negative_knobs_rejected(self):
         with pytest.raises(SpecError, match="workers"):
@@ -90,7 +98,7 @@ class TestExecutionSpec:
         plain = grid_spec()
         tuned = grid_spec(
             execution=ExecutionSpec(
-                backend="subprocess",
+                backend="pool",
                 workers=8,
                 unit_timeout_s=120.0,
                 halving=HalvingSpec(rungs=(1,)),
@@ -357,7 +365,7 @@ class TestSchedulerMechanics:
 class TestClusterExecutionSpec:
     def test_new_fields_round_trip(self):
         execution = ExecutionSpec(
-            backend="remote",
+            backend="pool",
             hosts=("node1", "node2"),
             worker_cmd="ssh {host} python -m repro.fleet.backends.worker --loop",
             quarantine_after=2,
@@ -376,8 +384,12 @@ class TestClusterExecutionSpec:
             ExecutionSpec(quarantine_after=0)
         with pytest.raises(SpecError, match="hosts"):
             ExecutionSpec(hosts=("node1", ""))
-        with pytest.raises(SpecError, match="hosts"):
-            ExecutionSpec(backend="remote")
+        for backend in ("serial", "local"):
+            data = grid_spec().to_dict()
+            data["execution"]["backend"] = backend
+            data["execution"]["hosts"] = ["node1"]
+            with pytest.raises(SpecError, match="hosts"):
+                RunSpec.from_dict(data)
 
 
 class _PoisonMetricBackend(SerialBackend):
@@ -447,20 +459,35 @@ class TestAsyncHalving:
         ) == canonical_results_digest(tmp_path / "sync")
 
     @pytest.mark.parametrize(
-        "backend", ["serial", "local", "subprocess", "pool"]
+        "backend,hosts",
+        [
+            ("serial", ()),
+            ("local", ()),
+            ("pool", ()),
+            ("pool", ("localhost", "127.0.0.1")),
+        ],
+        ids=["serial", "local", "pool", "pool-hosts"],
     )
-    def test_asha_agrees_across_backends(self, tmp_path, backend):
+    def test_asha_agrees_across_backends(self, tmp_path, backend, hosts):
         """The byte-identity guarantee holds on every backend — record
         arrival order varies wildly between them, the decisions must
         not."""
+        spec = self.asha_spec()
+        if hosts:
+            spec = replace(
+                spec,
+                execution=replace(
+                    spec.execution, backend=backend, hosts=hosts
+                ),
+            )
         result = FleetOrchestrator(
-            tmp_path / backend, backend=backend, workers=2
-        ).run(self.asha_spec())
+            tmp_path / "out", backend=backend, workers=2
+        ).run(spec)
         assert result.executed == 6 and result.pruned == 2
         reference = tmp_path / "reference"
         FleetOrchestrator(reference, backend="serial").run(self.sync_spec())
         assert canonical_results_digest(
-            tmp_path / backend
+            tmp_path / "out"
         ) == canonical_results_digest(reference)
 
     def test_asha_resumes_from_cache_like_sync(self, tmp_path):

@@ -125,11 +125,11 @@ class TestEnabledPath:
         for record in telemetry.units.values():
             assert UNIT_SPANS <= span_names(record)
 
-    @pytest.mark.parametrize("backend,workers", [("local", 2), ("subprocess", 2)])
+    @pytest.mark.parametrize("backend,workers", [("local", 2), ("pool", 2)])
     def test_backend_spans_match_serial(self, tmp_path, backend, workers):
-        """The pickle (local pool) and JSON-over-pipe (subprocess)
-        transports must deliver the same span taxonomy per unit as the
-        in-process serial path."""
+        """The pool's JSON-over-pipe transport (reached directly, or
+        through the ``local`` rule) must deliver the same span taxonomy
+        per unit as the in-process serial path."""
         run_fleet(tmp_path / "serial", telemetry=True)
         run_fleet(tmp_path / backend, telemetry=True, backend=backend,
                   workers=workers)
