@@ -453,10 +453,10 @@ def _load_stored_spec(path: Path) -> "RunSpec | None":
     """
     import yaml
 
-    from repro.fleet.spec import BACKEND_KINDS, RunSpec
+    from repro.fleet.spec import BACKEND_KINDS, RunSpec, load_yaml
 
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = load_yaml(path.read_text(encoding="utf-8"))
         if isinstance(data, dict) and isinstance(data.get("solver"), dict):
             data["solver"].pop("kernel", None)
         execution = data.get("execution") if isinstance(data, dict) else None

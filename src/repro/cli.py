@@ -509,8 +509,10 @@ def _parse_scalar(raw: str) -> object:
     content-hash) identically."""
     import yaml
 
+    from repro.fleet.spec import load_yaml
+
     try:
-        value = yaml.safe_load(raw)
+        value = load_yaml(raw)
     except yaml.YAMLError:
         return raw
     return raw if isinstance(value, (dict, list)) or value is None else value

@@ -13,6 +13,13 @@ Queueing delay is ignored — the capacity constraints guarantee resources
 ``d_u = max_{v in P(u)} d_{v -> u}`` (worst incoming stream), and the
 session delay cost ``F(d_s)`` averages ``d_u`` over the session (the
 paper's example choice of convex increasing F).
+
+:func:`flow_delay` and :func:`session_user_delays` are the per-flow
+reference.  :func:`average_conferencing_delay` — the simulator's
+once-per-sample metric — evaluates the same sums as arrays over the
+profile's :class:`~repro.core.fastpath.FlowTable`, in the reference's
+order of additions (``(H + H) + D`` direct, ``(((H + H) + D) + D) +
+sigma`` transcoded), so it returns the reference's value bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.errors import ModelError
+from repro.core.fastpath import profile_for
+from repro.errors import ModelError, UnknownEntityError
 from repro.model.conference import Conference
 from repro.types import UNASSIGNED
 
@@ -128,12 +136,59 @@ def average_conferencing_delay(
     sids: Iterable[int] | None = None,
 ) -> float:
     """The paper's reported delay metric: the average over all users of the
-    per-user worst incoming-flow delay ``d_u``."""
+    per-user worst incoming-flow delay ``d_u``.
+
+    Users enter the mean in ``sids`` order (each session's users in
+    session order; a repeated sid counts its users again), exactly as
+    :func:`session_user_delays` would list them.
+    """
+    num_sessions = conference.num_sessions
     if sids is None:
-        sids = range(conference.num_sessions)
-    values: list[float] = []
-    for sid in sids:
-        values.extend(session_user_delays(conference, assignment, sid).values())
-    if not values:
+        sids = np.arange(num_sessions)
+    else:
+        sids = np.fromiter(sids, dtype=np.int64)
+    unknown = sids[(sids < 0) | (sids >= num_sessions)]
+    if unknown.size:
+        raise UnknownEntityError(f"unknown session {int(unknown[0])}")
+    profile = profile_for(conference)
+    table = profile.flow_table
+    counts = table.user_count[sids]
+    total = int(counts.sum())
+    if total == 0:
         raise ModelError("no active sessions to average over")
-    return float(np.mean(values))
+    selected = np.zeros(num_sessions, dtype=bool)
+    selected[sids] = True
+    user_agent = assignment.user_agent
+    h, d = profile.h, profile.d
+    worst = np.zeros(conference.num_users)
+
+    keep = selected[table.direct_session]
+    source = table.direct_source[keep]
+    destination = table.direct_destination[keep]
+    a, b = user_agent[source], user_agent[destination]
+    if (a < 0).any() or (b < 0).any():
+        raise ModelError("both endpoints must be assigned")
+    np.maximum.at(worst, destination, (h[a, source] + h[b, destination]) + d[a, b])
+
+    keep = selected[table.transcoded_session]
+    source = table.transcoded_source[keep]
+    destination = table.transcoded_destination[keep]
+    pair = table.transcoded_pair[keep]
+    a, b = user_agent[source], user_agent[destination]
+    if (a < 0).any() or (b < 0).any():
+        raise ModelError("both endpoints must be assigned")
+    m = assignment.task_agent[pair]
+    if (m < 0).any():
+        raise ModelError(
+            f"transcoding pair {conference.transcode_pairs[int(pair[m < 0][0])]} "
+            "is unassigned"
+        )
+    np.maximum.at(
+        worst,
+        destination,
+        (((h[a, source] + h[b, destination]) + d[a, m]) + d[m, b]) + profile.sigma[pair, m],
+    )
+
+    # Each requested session's slice of the flat user list, in order.
+    offsets = np.repeat(table.user_start[sids] - (np.cumsum(counts) - counts), counts)
+    return float(np.mean(worst[table.users[np.arange(total) + offsets]]))

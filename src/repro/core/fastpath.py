@@ -9,11 +9,13 @@ latencies) is static per conference — only the agent choices vary.
 
 :class:`ConferenceProfile` precomputes that structure once and provides
 allocation-light per-assignment evaluation primitives.  The reference
-implementations in :mod:`repro.core.traffic` and :mod:`repro.core.delay`
-remain the ground truth the test suite checks these against.  The
-objective evaluator, AgRank and the simulator call them per assignment;
-the solvers score whole move sets with :mod:`repro.core.arrays`, which
-flattens the session plans built here.
+implementations in :mod:`repro.core.traffic` and the per-flow functions
+of :mod:`repro.core.delay` remain the ground truth the test suite checks
+these against.  The objective evaluator, AgRank and the simulator call
+them per assignment; the solvers score whole move sets with
+:mod:`repro.core.arrays`, which flattens the session plans built here;
+:func:`repro.core.delay.average_conferencing_delay` evaluates the
+flattened :class:`FlowTable`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,28 @@ class _SessionPlan:
     pair_indices: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class FlowTable:
+    """Every session's flows and users flattened in session-id order.
+
+    Direct flows (no transcoding) and transcoded flows sit in separate
+    blocks, so neither block needs a ``-1`` pair index masked out.
+    """
+
+    direct_session: np.ndarray
+    direct_source: np.ndarray
+    direct_destination: np.ndarray
+    transcoded_session: np.ndarray
+    transcoded_source: np.ndarray
+    transcoded_destination: np.ndarray
+    transcoded_pair: np.ndarray
+    #: All sessions' users, each session in its own user order.
+    users: np.ndarray
+    #: Offset and length of each session's slice of ``users``.
+    user_start: np.ndarray
+    user_count: np.ndarray
+
+
 class ConferenceProfile:
     """Cached static structure + fast evaluation kernels."""
 
@@ -86,6 +110,7 @@ class ConferenceProfile:
         self._plans: list[_SessionPlan] = [
             self._build_session_plan(sid) for sid in range(conference.num_sessions)
         ]
+        self._flow_table: FlowTable | None = None
 
     # ------------------------------------------------------------------ #
     # Static structure                                                   #
@@ -140,6 +165,33 @@ class ConferenceProfile:
 
     def plan(self, sid: int) -> _SessionPlan:
         return self._plans[sid]
+
+    @property
+    def flow_table(self) -> FlowTable:
+        """The session plans' flows and users as flat arrays (built on
+        first use)."""
+        if self._flow_table is None:
+            direct: list[tuple[int, int, int]] = []
+            transcoded: list[tuple[int, int, int, int]] = []
+            users: list[int] = []
+            counts: list[int] = []
+            for plan in self._plans:
+                for source, destination, pair_index in plan.flows:
+                    if pair_index < 0:
+                        direct.append((plan.sid, source, destination))
+                    else:
+                        transcoded.append((plan.sid, source, destination, pair_index))
+                users.extend(plan.users)
+                counts.append(len(plan.users))
+            user_count = np.array(counts, dtype=np.int64)
+            self._flow_table = FlowTable(
+                *_columns(direct, 3),
+                *_columns(transcoded, 4),
+                users=np.array(users, dtype=np.int64),
+                user_start=np.cumsum(user_count) - user_count,
+                user_count=user_count,
+            )
+        return self._flow_table
 
     # ------------------------------------------------------------------ #
     # Kernels                                                            #
@@ -242,6 +294,12 @@ class ConferenceProfile:
             if delay > worst[destination]:
                 worst[destination] = delay
         return worst
+
+
+def _columns(rows: list[tuple[int, ...]], width: int) -> list[np.ndarray]:
+    """Integer rows -> one contiguous int64 array per column."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, width)
+    return [table[:, i].copy() for i in range(width)]
 
 
 _PROFILE_CACHE: dict[int, ConferenceProfile] = {}

@@ -1017,7 +1017,7 @@ class RunSpec:
     def from_yaml(cls, text: str) -> "RunSpec":
         """Parse and validate a YAML spec document."""
         try:
-            data = yaml.safe_load(text)
+            data = load_yaml(text)
         except yaml.YAMLError as error:
             raise SpecError(f"spec is not valid YAML: {error}") from error
         return cls.from_dict(data)
@@ -1072,6 +1072,20 @@ def apply_override(data: dict, path: str, value: object) -> None:
 # --------------------------------------------------------------------- #
 # File IO and identity                                                  #
 # --------------------------------------------------------------------- #
+
+
+def load_yaml(text: str) -> object:
+    """Parse one YAML document with PyYAML's safe loader.
+
+    Uses libyaml's ``yaml.CSafeLoader`` when PyYAML was built with it
+    (PyPI wheels are), else the pure-Python ``yaml.SafeLoader``.  Both
+    share the safe resolver and constructor, so the parsed values — and
+    every content hash taken over them — are the same either way; only
+    the parse is several times faster.  Raises ``yaml.YAMLError`` on a
+    malformed document.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return yaml.load(text, Loader=loader)
 
 
 def load_spec(path: str | Path) -> RunSpec:

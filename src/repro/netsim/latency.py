@@ -155,13 +155,15 @@ class LatencyModel:
     ) -> np.ndarray:
         """The L x U one-way delay matrix H."""
         matrix = np.zeros((len(regions), len(sites)), dtype=float)
+        user_tails = [
+            self._lastmile(11, u, self._user_lastmile) for u in range(len(sites))
+        ]
         for l, reg in enumerate(regions):
             agent_tail = self._lastmile(10, l, self._agent_lastmile)
             for u, site in enumerate(sites):
-                user_tail = self._lastmile(11, u, self._user_lastmile)
                 sample = self.sample_path(
                     reg.point, site.point, tag=2, i=l, j=len(regions) + u,
-                    lastmile_ms=agent_tail + user_tail,
+                    lastmile_ms=agent_tail + user_tails[u],
                 )
                 matrix[l, u] = max(self._min_floor, sample.one_way_ms)
         return matrix

@@ -1,9 +1,10 @@
 """Event queue with lazy cancellation.
 
 A standard heap-backed future-event list.  Events can be cancelled or
-rescheduled (FREEZE shifts pending countdowns); cancellation is lazy —
-superseded entries stay in the heap and are skipped on pop — which keeps
-every operation O(log n).
+rescheduled (the simulator moves its one wake timer this way whenever
+the earliest WAIT countdown changes); cancellation is lazy — superseded
+entries stay in the heap and are skipped on pop — which keeps every
+operation O(log n).
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class EventQueue:
         lower-priority-number events first, so a caller can guarantee an
         ordering between event classes independent of when each was
         scheduled.  The simulator pins fault transitions (priority -1)
-        before session dynamics (0) before samples and wakes (1) at a
-        shared instant — an arrival coinciding with an outage bootstraps
-        against the already-masked substrate view.
+        before session dynamics (0) before samples and the wake timer
+        (1) at a shared instant — an arrival coinciding with an outage
+        bootstraps against the already-masked substrate view.
         """
         if time_s < self._now - 1e-12:
             raise SimulationError(

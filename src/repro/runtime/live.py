@@ -20,7 +20,9 @@ windows are simulator concerns; latency budgets and request validation
 are service concerns).  Fault boundaries funnel through
 :meth:`LiveConference.swap_evaluator`, which re-seats the solver on a
 substrate view while carrying hop counters and the rng object across
-the swap.
+the swap.  A swap that finds no active session (the ``drop`` fault
+policy can empty the conference) only records the new evaluator; the
+next arrival re-seats the solver from scratch against it.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ class LiveConference:
         self._evaluator = evaluator
         self._conference: Conference = evaluator.conference
         self._carried_hops = 0
+        #: True while the solver still runs on an evaluator an empty-engine
+        #: swap replaced (see :meth:`swap_evaluator`).
+        self._reseat = False
         self._solver = MarkovAssignmentSolver(
             evaluator,
             initial_assignment,
@@ -191,7 +196,14 @@ class LiveConference:
 
     def arrive(self, sid: int) -> Assignment:
         """Admit a session: place it incrementally and splice it into
-        the live search state.  Returns the merged assignment."""
+        the live search state.  Returns the merged assignment.
+
+        After an empty-engine :meth:`swap_evaluator` the solver is
+        re-seated instead, through :meth:`resolve_from_scratch` on the
+        current substrate view.
+        """
+        if self._reseat:
+            return self.resolve_from_scratch(extra_sid=sid)
         self._solver.context.add_session(sid, self.placement_for(sid))
         return self._solver.assignment
 
@@ -260,6 +272,7 @@ class LiveConference:
             noise=self._noise,
             rng=self._rng,
         )
+        self._reseat = False
         return assignment
 
     def swap_evaluator(self, evaluator: ObjectiveEvaluator) -> None:
@@ -267,13 +280,19 @@ class LiveConference:
 
         The assignment and active set carry over unchanged, hop
         counters accumulate across the swap, and the rng object is
-        reused so the frontend's draw sequence is untouched.
+        reused so the frontend's draw sequence is untouched.  With no
+        active session there is nothing to re-seat (a solver needs at
+        least one): the new evaluator is recorded and the next
+        :meth:`arrive` re-seats.
         """
-        self._carried_hops += self._solver.hops
         active = self._solver.context.active_sessions
-        assignment = self._solver.assignment
         self._evaluator = evaluator
         self._conference = evaluator.conference
+        if not active:
+            self._reseat = True
+            return
+        self._carried_hops += self._solver.hops
+        assignment = self._solver.assignment
         self._solver = MarkovAssignmentSolver(
             evaluator,
             assignment,

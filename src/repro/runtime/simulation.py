@@ -6,8 +6,10 @@ Binds Alg. 1's jump chain to wall-clock time:
   configured mean (the prototype uses 10 s) — then HOP;
 * HOP is serialized across sessions: while one session migrates, the
   others' countdowns are paused for the freeze duration (the
-  FREEZE/UNFREEZE handshake), implemented by shifting their pending wake
-  events;
+  FREEZE/UNFREEZE handshake).  Pending countdowns live in one array
+  indexed by session id, and the event queue holds a single wake timer
+  at their minimum, so a FREEZE is one vectorized shift of the array
+  plus one re-arm of the timer;
 * migrations are priced by the dual-feed model and logged;
 * metric samples (total inter-agent traffic, average conferencing delay,
   objective, per-session series) are taken on a fixed grid — these are the
@@ -29,6 +31,7 @@ without ever materializing a full schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -175,7 +178,12 @@ class ConferencingSimulator:
         self._queue = EventQueue()
         self._recorder = TimeSeriesRecorder()
         self._migrations: list[MigrationRecord] = []
-        self._wake_handles: dict[int, tuple[EventHandle, float]] = {}
+        # WAIT countdowns: the absolute wake-up time of each session's
+        # pending countdown (inf = none), and the one queue timer that
+        # fires at their minimum.
+        self._countdowns = np.full(self._conference.num_sessions, math.inf)
+        self._timer: EventHandle | None = None
+        self._timer_at = math.inf
         self._freezes = 0
         self._resizes = 0
         self._pending_trace = 0
@@ -203,38 +211,81 @@ class ConferencingSimulator:
     def _draw_wait(self) -> float:
         return float(self._rng.exponential(self._config.hop_interval_mean_s))
 
-    def _schedule_wake(self, sid: int, now: float) -> None:
-        wake_at = now + self._draw_wait()
-        handle = self._queue.schedule(wake_at, "wake", sid, priority=1)
-        self._wake_handles[sid] = (handle, wake_at)
+    def _arm_timer(self) -> None:
+        """Point the wake timer at the earliest pending countdown (off
+        the queue when none is pending).  The run loop calls this after
+        every event, so handlers only edit the countdown array."""
+        wake_at = float(self._countdowns.min())
+        if wake_at == self._timer_at:
+            return
+        self._timer_at = wake_at
+        if wake_at == math.inf:
+            assert self._timer is not None
+            self._timer.cancel()
+        elif self._timer is None:
+            self._timer = self._queue.schedule(wake_at, "wake", priority=1)
+        else:
+            self._timer = self._queue.reschedule(self._timer, wake_at)
 
-    def _freeze_others(self, hopping_sid: int, now: float) -> None:
+    def _start_countdown(self, sid: int, now: float) -> None:
+        """WAIT: draw the session's next wake-up."""
+        self._countdowns[sid] = now + self._draw_wait()
+
+    def _has_countdown(self, sid: int) -> bool:
+        return bool(self._countdowns[sid] != math.inf)
+
+    def _stop_countdown(self, sid: int) -> bool:
+        """Clear a session's pending countdown; False if it had none."""
+        if not self._has_countdown(sid):
+            return False
+        self._countdowns[sid] = math.inf
+        return True
+
+    def _waking_session(self, timer: EventHandle, now: float) -> int:
+        """The session whose countdown the popped ``timer`` ended.
+
+        The timer carries no payload: the waking session is the one
+        holding the earliest countdown, which must equal the popped
+        time exactly (anything else means the array and the timer fell
+        out of step).  Equal countdowns wake in session-id order.
+        """
+        del timer
+        sid = int(self._countdowns.argmin())
+        if self._countdowns[sid] != now:
+            raise SimulationError(
+                f"wake timer fired at {now!r}s but the earliest countdown "
+                f"(session {sid}) ends at {float(self._countdowns[sid])!r}s"
+            )
+        self._countdowns[sid] = math.inf
+        self._timer_at = math.inf
+        return sid
+
+    def _freeze_others(self, now: float) -> None:
         """FREEZE: pause every other session's countdown for the handshake
-        duration by pushing their wake events back."""
+        duration by pushing it back to ``max(wake_at, now) + duration``.
+
+        The hopping session's countdown was cleared when its timer
+        popped, and ``inf`` entries stay ``inf``, so one in-place pass
+        over the whole array shifts exactly the pending countdowns.
+        """
         duration = self._config.freeze_duration_s
         if duration <= 0:
             return
         self._freezes += 1
         tele.count("sim.freezes")
-        for sid, (handle, wake_at) in list(self._wake_handles.items()):
-            if sid == hopping_sid:
-                continue
-            shifted = max(wake_at, now) + duration
-            new_handle = self._queue.reschedule(handle, shifted)
-            self._wake_handles[sid] = (new_handle, shifted)
+        np.maximum(self._countdowns, now, out=self._countdowns)
+        self._countdowns += duration
 
     def _on_wake(self, sid: int, now: float) -> None:
         assert self._live is not None
-        if sid not in self._wake_handles:
-            return  # departed in the meantime
         before = self._live.assignment
         result = self._live.hop(sid)
         if result.moved and result.move is not None:
-            self._freeze_others(sid, now)
+            self._freeze_others(now)
             self._migrations.append(
                 self._migration_model.price(self._conference, before, result.move, sid, now)
             )
-        self._schedule_wake(sid, now)
+        self._start_countdown(sid, now)
 
     def _on_sample(self, now: float) -> None:
         assert self._live is not None
@@ -271,18 +322,19 @@ class ConferencingSimulator:
     def _on_arrival(self, sid: int, now: float) -> None:
         assert self._live is not None
         self._live.arrive(sid)
-        self._schedule_wake(sid, now)
+        self._start_countdown(sid, now)
         tele.count("sim.arrivals")
         self._trace_event_done()
 
     def _on_departure(self, sid: int, now: float) -> None:
+        """Release a session.  A session the ``drop`` fault policy
+        already removed has no countdown left: its trace departure only
+        closes the batch."""
         assert self._live is not None
         del now
-        handle_entry = self._wake_handles.pop(sid, None)
-        if handle_entry is not None:
-            handle_entry[0].cancel()
-        self._live.depart(sid)
-        tele.count("sim.departures")
+        if self._stop_countdown(sid):
+            self._live.depart(sid)
+            tele.count("sim.departures")
         self._trace_event_done()
 
     def _on_resize(self, sid: int, now: float) -> None:
@@ -291,7 +343,7 @@ class ConferencingSimulator:
         as a placement renegotiation); its WAIT countdown keeps running."""
         assert self._live is not None
         del now
-        if sid in self._wake_handles:
+        if self._has_countdown(sid):
             self._live.resize(sid)
             self._resizes += 1
         self._trace_event_done()
@@ -362,9 +414,7 @@ class ConferencingSimulator:
                 self._drop_session(sid)
 
     def _drop_session(self, sid: int) -> None:
-        entry = self._wake_handles.pop(sid, None)
-        if entry is not None:
-            entry[0].cancel()
+        self._stop_countdown(sid)
         self._sessions_dropped += 1
         tele.count("sim.sessions_dropped")
 
@@ -448,11 +498,13 @@ class ConferencingSimulator:
                 initial_assignment=self._initial_assignment,
             )
         for sid in self._player.initial_sids:
-            self._schedule_wake(sid, 0.0)
+            self._start_countdown(sid, 0.0)
+        self._arm_timer()
         self._pump_trace()
         if self._faults is not None:
             # Priority -1: at a shared instant faults apply before the
-            # dynamics (0) and samples/wakes (1) they influence.
+            # dynamics (0) and the samples and wake timer (1) they
+            # influence.
             for time_s, phase, fault in self._faults.transitions():
                 if time_s > self._config.duration_s + 1e-9:
                     continue
@@ -469,7 +521,7 @@ class ConferencingSimulator:
             if now > self._config.duration_s + 1e-9:
                 break
             if handle.kind == "wake":
-                self._on_wake(handle.payload, now)
+                self._on_wake(self._waking_session(handle, now), now)
             elif handle.kind == "sample":
                 self._on_sample(now)
             elif handle.kind == "arrival":
@@ -482,6 +534,7 @@ class ConferencingSimulator:
                 self._on_fault(handle.payload, now)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event kind {handle.kind!r}")
+            self._arm_timer()
 
         return SimulationResult(
             recorder=self._recorder,

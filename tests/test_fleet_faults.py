@@ -250,3 +250,69 @@ class TestByteStability:
         report = render_run_report(load_fleet_run(out))
         assert "resilience summary" in report
         assert "faults_injected" in report
+
+
+class TestDropPolicyUnderChurn:
+    """``faults.policy: drop`` with trace churn: a session dropped at a
+    fault boundary still has its departure in the trace, and drops can
+    empty the conference before the next boundary.  Both used to abort
+    the run (``ModelError: session N is not active`` and ``SolverError:
+    at least one active session is required``); the same spec under
+    ``migrate`` always ran."""
+
+    @staticmethod
+    def spec(seed: int, policy: str = "drop") -> RunSpec:
+        return RunSpec.from_dict(
+            {
+                "name": "drop-under-churn",
+                "workload": {
+                    "kind": "prototype",
+                    "num_sessions": 8,
+                    "min_session_size": 3,
+                    "max_session_size": 4,
+                },
+                "churn": {
+                    "initial": 4,
+                    "trace": {
+                        "kind": "poisson",
+                        "rate_per_s": 0.3,
+                        "mean_holding_s": 20,
+                    },
+                },
+                "simulation": {
+                    "duration_s": 60,
+                    "hop_interval_mean_s": 4,
+                    "seed": seed,
+                },
+                "faults": {
+                    "policy": policy,
+                    "chaos": {
+                        "rate_per_s": 0.1,
+                        "mean_duration_s": 10,
+                        "severity": 0.5,
+                        "kinds": ["outage"],
+                    },
+                },
+            }
+        )
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_trace_departure_of_a_dropped_session(self, seed):
+        result = compile_spec(self.spec(seed)).simulator().run()
+        assert result.sessions_dropped > 0
+        assert result.faults_injected > 0
+
+    @pytest.mark.parametrize("seed", [1, 10, 11])
+    def test_fault_boundary_after_drops_emptied_the_conference(self, seed):
+        result = compile_spec(self.spec(seed)).simulator().run()
+        assert result.sessions_dropped > 0
+        # Arrivals after the empty spell re-seat the solver and keep
+        # hopping and sampling.
+        times, counts = result.series("sessions")
+        assert counts.min() >= 1
+        assert times[-1] == 60.0
+
+    def test_migrate_keeps_every_session(self):
+        for seed in (1, 2):
+            result = compile_spec(self.spec(seed, "migrate")).simulator().run()
+            assert result.sessions_dropped == 0

@@ -361,3 +361,81 @@ class TestOverridesAndHash:
         assert spec_hash(base) != spec_hash(
             base.with_overrides({"solver.beta": 123})
         )
+
+
+class TestYamlLoader:
+    """Spec reads go through libyaml's ``CSafeLoader`` when PyYAML has
+    it; the values (and so every content hash) match the pure-Python
+    ``SafeLoader``, which remains the fallback."""
+
+    @staticmethod
+    def both(text):
+        import yaml
+
+        loaders = [yaml.SafeLoader]
+        if hasattr(yaml, "CSafeLoader"):
+            loaders.append(yaml.CSafeLoader)
+        return [yaml.load(text, Loader=loader) for loader in loaders]
+
+    def test_library_specs_load_identically(self):
+        from repro.fleet.library import library_dir, library_spec_names
+
+        from repro.fleet.spec import load_yaml
+
+        for name in library_spec_names():
+            text = (library_dir() / f"{name}.yaml").read_text(encoding="utf-8")
+            parsed = self.both(text)
+            assert all(value == parsed[0] for value in parsed), name
+            assert load_yaml(text) == parsed[0], name
+
+    def test_stored_spec_loads_identically(self, tmp_path):
+        from repro.analysis.report import load_fleet_run
+        from repro.fleet.library import load_library_spec
+        from repro.fleet.orchestrator import FleetOrchestrator
+
+        spec = load_library_spec("prototype_smoke").with_overrides(
+            {"simulation.duration_s": 4.0, "workload.num_sessions": 2}
+        )
+        FleetOrchestrator(tmp_path, backend="serial").run(spec)
+        text = (tmp_path / "spec.yaml").read_text(encoding="utf-8")
+        parsed = self.both(text)
+        assert all(value == parsed[0] for value in parsed)
+        stored = load_fleet_run(tmp_path).spec
+        assert stored == spec
+        assert spec_hash(stored) == spec_hash(spec)
+
+    def test_scalars_coerce_identically(self):
+        for raw in ["200", "2.5", "1e3", "1.0e3", ".inf", "-.inf", "inf",
+                    "true", "yes", "off", "null", "~", "0x10", "0o17",
+                    "2026-10-17", "'quoted'", "a b", "[1, 2]", "{a: 1}"]:
+            parsed = self.both(raw)
+            assert all(repr(value) == repr(parsed[0]) for value in parsed), raw
+
+    def test_fallback_without_libyaml(self, monkeypatch):
+        import yaml
+
+        from repro.cli import _parse_scalar
+        from repro.fleet.library import load_library_spec
+
+        used = []
+        real_load = yaml.load
+
+        def spy(stream, Loader):
+            used.append(Loader)
+            return real_load(stream, Loader=Loader)
+
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.setattr(yaml, "load", spy)
+        spec = load_library_spec("chaos_storm")
+        assert RunSpec.from_yaml(spec.to_yaml()) == spec
+        assert _parse_scalar("1e3") == "1e3" and _parse_scalar("200") == 200
+        assert used and set(used) == {yaml.SafeLoader}
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_bad_document_raises_spec_error(self, monkeypatch, fallback):
+        import yaml
+
+        if fallback:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        with pytest.raises(SpecError, match="not valid YAML"):
+            RunSpec.from_yaml("name: [unclosed\nworkload: {kind: prototype")

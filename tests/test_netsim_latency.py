@@ -76,6 +76,25 @@ class TestAgentUserMatrix:
         h = model.agent_user_matrix(REGIONS, sites)
         assert h.min() >= 2.0  # at least the lower user last-mile bound
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_equals_the_per_pair_formula(self, seed):
+        """``H[l, u]`` is the documented path model, pair by pair: the
+        agent tail (stream 10) and user tail (stream 11) are seeded by
+        endpoint index alone, so drawing each once gives the same bits."""
+        model = LatencyModel(seed=seed)
+        sites = sample_user_sites(20, np.random.default_rng(seed))
+        expected = np.zeros((len(REGIONS), len(sites)))
+        for l, reg in enumerate(REGIONS):
+            agent_tail = float(np.random.default_rng((seed, 10, l)).uniform(0.3, 1.5))
+            for u, site in enumerate(sites):
+                user_tail = float(np.random.default_rng((seed, 11, u)).uniform(2.0, 12.0))
+                sample = model.sample_path(
+                    reg.point, site.point, tag=2, i=l, j=len(REGIONS) + u,
+                    lastmile_ms=agent_tail + user_tail,
+                )
+                expected[l, u] = max(0.5, sample.one_way_ms)
+        assert np.array_equal(model.agent_user_matrix(REGIONS, sites), expected)
+
 
 class TestValidation:
     def test_inflation_below_one_rejected(self):

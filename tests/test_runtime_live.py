@@ -219,6 +219,31 @@ class TestLiveConferenceDynamics:
         live.hop(0)
         assert live.hops == hops_before + 1
 
+    def test_swap_on_empty_engine_reseats_at_next_arrival(self, conf):
+        """The drop fault policy can empty the conference before a fault
+        boundary: the swap only records the view, and the next arrival
+        re-seats from scratch against it."""
+        evaluator = make_evaluator(conf)
+        live = LiveConference.bootstrap(
+            evaluator, [0, 1], rng=np.random.default_rng(4)
+        )
+        live.hop(0)
+        live.depart(0)
+        live.depart(1)
+        swapped = make_evaluator(conf, alphas=(2.0, 1.0, 1.0))
+        live.swap_evaluator(swapped)  # used to raise SolverError
+        assert live.evaluator is swapped
+        assert live.conference is conf
+        assert live.active_sessions == []
+        assert live.hops == 1
+        live.arrive(2)
+        assert live.active_sessions == [2]
+        assert live.solver.context.evaluator is swapped
+        assert live.assignment == nearest_assignment(conf, [2])
+        assert live.hops == 1
+        live.arrive(3)  # back on the incremental path
+        assert live.active_sessions == [2, 3]
+
     def test_refine_is_deterministic_and_bounded(self, conf):
         evaluator = make_evaluator(conf)
         results = []
