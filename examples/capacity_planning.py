@@ -35,13 +35,10 @@ def admission_rate(policy: str, n_ngbr: int, bandwidth: float, scenarios: int) -
         )
         conference = scenario_conference(seed=9000 + i, params=params)
         if policy == "nearest":
-            result = try_bootstrap(conference, "nearest", check_delay=False)
+            result = try_bootstrap(conference, "nearest")
         else:
             result = try_bootstrap(
-                conference,
-                "agrank",
-                config=AgRankConfig(n_ngbr=n_ngbr),
-                check_delay=False,
+                conference, "agrank", config=AgRankConfig(n_ngbr=n_ngbr)
             )
         admitted += int(result.success)
     return 100.0 * admitted / scenarios

@@ -21,11 +21,10 @@ from __future__ import annotations
 from repro import (
     ObjectiveEvaluator,
     ObjectiveWeights,
+    average_conferencing_delay,
     nearest_assignment,
     solve_exact,
 )
-from repro.core.delay import flow_delay, session_delay_cost
-from repro.core.traffic import total_inter_agent_traffic
 from repro.workloads.motivating import motivating_conference
 
 
@@ -33,6 +32,9 @@ def main() -> None:
     conference = motivating_conference()
     agents = {a.name: a.aid for a in conference.agents}
     users = {u.name: u.uid for u in conference.users}
+    evaluator = ObjectiveEvaluator(
+        conference, ObjectiveWeights.normalized_for(conference)
+    )
     print(conference.describe())
 
     # --- Step 1: the nearest policy ----------------------------------- #
@@ -47,10 +49,14 @@ def main() -> None:
 
     # --- Step 2: the session-aware alternative ------------------------ #
     via_to = nearest.with_user(u4, agents["TO"])
+    d = conference.topology.inter_agent_ms
+    u1 = users["user1"]
     for label, assignment in (("via SG", nearest), ("via TO", via_to)):
-        traffic = total_inter_agent_traffic(conference, assignment)
-        delay_cost = session_delay_cost(conference, assignment, 0)
-        d41 = flow_delay(conference, assignment, users["user4"], users["user1"])
+        traffic = evaluator.total(assignment).inter_agent_mbps
+        delay_cost = average_conferencing_delay(conference, assignment, [0])
+        # user4 -> user1 needs no transcoding: last miles plus one D hop.
+        a, b = assignment.agent_of(u4), assignment.agent_of(u1)
+        d41 = h[a, u4] + h[b, u1] + d[a, b]
         print(
             f"2. user4 {label}: traffic {traffic:5.1f} Mbps, "
             f"F(d) {delay_cost:6.1f} ms, delay user4->user1 {d41:6.1f} ms"
@@ -67,9 +73,6 @@ def main() -> None:
     )
 
     # --- Step 4: the joint optimum ------------------------------------- #
-    evaluator = ObjectiveEvaluator(
-        conference, ObjectiveWeights.normalized_for(conference)
-    )
     exact = solve_exact(evaluator)
     placement = ", ".join(
         f"{conference.user(u).name}->{conference.agent(exact.assignment.agent_of(u)).name}"
@@ -84,8 +87,8 @@ def main() -> None:
     print(f"   users: {placement}")
     print(f"   tasks: {tasks}")
     print(
-        f"   traffic {total_inter_agent_traffic(conference, exact.assignment):.1f} Mbps, "
-        f"F(d) {session_delay_cost(conference, exact.assignment, 0):.1f} ms"
+        f"   traffic {evaluator.total(exact.assignment).inter_agent_mbps:.1f} Mbps, "
+        f"F(d) {average_conferencing_delay(conference, exact.assignment, [0]):.1f} ms"
     )
 
 

@@ -28,6 +28,6 @@ setup(
     package_data={"repro.fleet.library": ["*.yaml"]},
     include_package_data=True,
     python_requires=">=3.10",
-    install_requires=["numpy", "PyYAML"],
+    install_requires=["numpy", "PyYAML", "scipy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

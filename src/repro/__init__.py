@@ -34,7 +34,7 @@ from repro.core.annealing import AnnealingConfig, AnnealingResult, simulated_ann
 from repro.core.assignment import Assignment
 from repro.core.bootstrap import BootstrapResult, bootstrap_assignment, try_bootstrap
 from repro.core.capacity import CapacityLedger
-from repro.core.delay import average_conferencing_delay, flow_delay, session_user_delays
+from repro.core.delay import average_conferencing_delay
 from repro.core.exact import ExactResult, enumerate_assignments, solve_exact
 from repro.core.feasibility import FeasibilityReport, check_assignment, is_feasible
 from repro.core.greedy import GreedyResult, greedy_descent
@@ -120,13 +120,11 @@ __all__ = [
     "bootstrap_assignment",
     "check_assignment",
     "enumerate_assignments",
-    "flow_delay",
     "greedy_descent",
     "hop_probabilities",
     "is_feasible",
     "nearest_assignment",
     "rank_agents",
-    "session_user_delays",
     "simulated_annealing",
     "solve_exact",
     "try_bootstrap",

@@ -321,8 +321,8 @@ def agrank_assignment(
         for i, agent in placements.items():
             task_agent[i] = agent
         candidate = Assignment(user_agent, task_agent)
-        # The profile kernel is pinned bit-identical to
-        # ``compute_session_usage``; the combo loop is NN-GBR's hot path.
+        # The combo loop is NN-GBR's hot path: one profile evaluation
+        # per combo.
         usage = profile_for(conference).session_usage(
             candidate.user_agent, candidate.task_agent, sid
         )

@@ -55,16 +55,16 @@ pins all of it.  The rules that make it hold:
 * Flow delays keep the *same parenthesization* as ``session_delays``:
   ``(h[a, src] + h[b, dst]) + d[a, b]`` for direct flows and ``(h[a,
   src] + h[b, dst]) + ((d[a, m] + d[m, b]) + sigma[pair, m])`` for
-  transcoded ones.  When the agent matrix is clean (an exactly ``+0.0``
-  diagonal and no ``-0.0`` entries — every latency model here) both
-  kinds evaluate through one fused instruction block by treating a
-  direct flow as a transcoded flow via its own source agent (``d[a, a]
-  = +0.0``) with a zero sigma row, which is addend-for-addend exact:
-  ``+0.0 + x == x`` bitwise for every ``x`` that is not ``-0.0``.
-  Unclean matrices fall back to split direct/transcoded blocks.
-* Flows are *statically ordered by destination user* in fused layouts,
-  so the per-user worst reduces with ``np.maximum.reduceat`` over
-  contiguous segments with no per-hop permutation; per-flow delays are
+  transcoded ones.  Both kinds evaluate through one instruction block
+  by treating a direct flow as a transcoded flow via its own source
+  agent (``d[a, a] = +0.0``) with a zero sigma row, which is
+  addend-for-addend exact: ``+0.0 + x == x`` bitwise for every ``x``
+  that is not ``-0.0``.  :class:`~repro.model.topology.Topology`
+  guarantees the precondition: it stores D with an exact ``+0.0``
+  diagonal and no ``-0.0`` entries.
+* Flows are *statically ordered by destination user*, so the per-user
+  worst reduces with ``np.maximum.reduceat`` over contiguous segments
+  with no per-hop permutation; per-flow delays are
   mutually independent and ``max`` over floats is exact under any
   reordering, so the per-user and per-session maxima (and their 0.0
   clamps) are unchanged.
@@ -134,7 +134,7 @@ class BatchEvaluation:
     """Vectorized per-candidate session metrics (axis 0 = candidate).
 
     The 2-D arrays are ``(C, L)``; rows are exactly what a
-    :class:`~repro.core.traffic.SessionUsage` holds for that candidate.
+    :class:`~repro.core.fastpath.SessionUsage` holds for that candidate.
     """
 
     moves: MoveBatch
@@ -198,8 +198,8 @@ class SessionLayout:
         [2S + 2P, n_u)    transcode-count task rows  (n_u = 2S + 2P + G)
         [n_u, +F)         flow sources
         [.., +F)          flow destinations
-        [.., +F or +F2)   flow middles (task rows; fused layouts carry
-                          the source row again for direct flows)
+        [.., +F)          flow middles (task rows; direct flows carry
+                          the source row again)
         [.., +E), [.., +TE)   guard-edge "a" endpoints (inter, then tc)
         [.., +E), [.., +TE)   guard-edge "b" endpoints (same order)
 
@@ -231,7 +231,6 @@ class SessionLayout:
     num_streams: int
     num_inter: int
     num_flows: int
-    num_direct: int
     num_edges: int
     num_tc_edges: int
     num_transcodes: int
@@ -245,18 +244,13 @@ class SessionLayout:
     #: to task rows ``tc_e_rows`` (within-group first occurrence).
     guard_starts: np.ndarray
     tc_e_rows: np.ndarray
-    #: Flow metadata: the users bounding each flow (as ``(F, 1)``
-    #: columns into ``h``).  ``flows_fused`` selects the fused one-block
-    #: formula; ``sig_rows`` then indexes the zero-padded sigma matrix
-    #: (direct flows point at the zero row) and flows are pre-sorted by
-    #: destination (``perm`` is None).  Split layouts keep direct flows
-    #: first and ``perm`` re-sorts by destination at run time.
-    flows_fused: bool
+    #: Flow metadata, flows sorted by destination: the users bounding
+    #: each flow (as ``(F, 1)`` columns into ``h``) and each flow's row
+    #: of the zero-padded sigma matrix (direct flows point at the zero
+    #: row).
     f_src_uids: np.ndarray
     f_dst_uids: np.ndarray
-    sig_rows: np.ndarray | None
-    t_pair_ids: np.ndarray | None
-    perm: np.ndarray | None
+    sig_rows: np.ndarray
     seg_starts: np.ndarray
 
 
@@ -266,7 +260,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _build_layout(
-    plan, num_agents: int, num_pairs: int, demand_out_mbps, fused: bool
+    plan, num_agents: int, num_pairs: int, demand_out_mbps
 ) -> SessionLayout:
     users = plan.users
     pair_indices = plan.pair_indices
@@ -361,47 +355,30 @@ def _build_layout(
                 + [(symbol_row, raw_symbol_rows[qp]) for qp in range(q)]
             )
 
-    # Flow plan.  Fused layouts sort flows by destination user up front
-    # (per-flow values are independent, and both downstream reductions
-    # are order-exact maxima); split layouts keep direct-then-task order
-    # and re-sort at run time.
-    direct = [f for f in plan.flows if f[2] < 0]
-    tasked = [f for f in plan.flows if f[2] >= 0]
-    flows: list[tuple[int, int, int]] = direct + tasked
-    if fused:
-        flows = sorted(flows, key=lambda f: row_of_user[f[1]])
+    # Flow plan, sorted by destination user up front (per-flow values
+    # are independent, and both downstream reductions are order-exact
+    # maxima).
+    flows = sorted(plan.flows, key=lambda f: row_of_user[f[1]])
     dest_positions = np.asarray(
         [row_of_user[f[1]] for f in flows], dtype=np.int64
     )
-    if fused:
-        ordered = dest_positions
-        perm = None
-    else:
-        perm = np.argsort(dest_positions, kind="stable")
-        ordered = dest_positions[perm]
     seg_starts = np.flatnonzero(
-        np.concatenate([[True], ordered[1:] != ordered[:-1]])
+        np.concatenate([[True], dest_positions[1:] != dest_positions[:-1]])
     )
     if seg_starts.shape[0] != num_users:
         raise ModelError(
             f"session {plan.sid} flow plan does not cover every user"
         )
 
+    # Direct flows route "via" their own source agent: d[a, a] is
+    # exactly +0.0 (a Topology invariant) and sigma row ``num_pairs`` is
+    # the zero padding row.
     f_src_rows = [row_of_user[f[0]] for f in flows]
-    if fused:
-        # Direct flows route "via" their own source agent: d[a, a] is
-        # exactly +0.0 (checked by the caller) and sigma row
-        # ``num_pairs`` is the zero padding row.
-        f_mid_rows = [
-            f_src_rows[i] if f[2] < 0 else row_of_pair[f[2]]
-            for i, f in enumerate(flows)
-        ]
-        sig_rows = [num_pairs if f[2] < 0 else f[2] for f in flows]
-        t_pair_ids = None
-    else:
-        f_mid_rows = [row_of_pair[f[2]] for f in tasked]
-        sig_rows = None
-        t_pair_ids = [f[2] for f in tasked]
+    f_mid_rows = [
+        f_src_rows[i] if f[2] < 0 else row_of_pair[f[2]]
+        for i, f in enumerate(flows)
+    ]
+    sig_rows = [num_pairs if f[2] < 0 else f[2] for f in flows]
 
     all_rows = np.asarray(
         lm_src
@@ -459,7 +436,6 @@ def _build_layout(
         num_streams=num_streams,
         num_inter=num_inter,
         num_flows=len(flows),
-        num_direct=len(direct),
         num_edges=len(e_a),
         num_tc_edges=len(tc_e_a),
         num_transcodes=len(tc_rows),
@@ -467,12 +443,9 @@ def _build_layout(
         usage_weights=_frozen(usage_weights),
         guard_starts=as_i64(guard_starts),
         tc_e_rows=as_i64(tc_e_rows),
-        flows_fused=fused,
         f_src_uids=column([f[0] for f in flows]),
         f_dst_uids=column([f[1] for f in flows]),
-        sig_rows=None if sig_rows is None else column(sig_rows),
-        t_pair_ids=None if t_pair_ids is None else column(t_pair_ids),
-        perm=None if perm is None else _frozen(perm),
+        sig_rows=column(sig_rows),
         seg_starts=_frozen(seg_starts),
     )
 
@@ -492,22 +465,10 @@ class ConferenceArrays:
         self._num_agents = int(profile.num_agents)
         self._h = profile.h
         self._d = profile.d
-        self._sigma = profile.sigma
-        self._num_pairs = int(self._sigma.shape[0])
-        # The fused flow formula needs d[a, a] == +0.0 exactly and no
-        # -0.0 anywhere (see the module contract); every latency model
-        # here qualifies, but hand-built matrices fall back safely.
-        d = self._d
-        diagonal = np.diagonal(d)
-        self._flows_fused = bool(
-            np.all(diagonal == 0.0)
-            and not np.signbit(diagonal).any()
-            and not ((d == 0.0) & np.signbit(d)).any()
-        )
+        sigma = profile.sigma
+        self._num_pairs = int(sigma.shape[0])
         self._sigma_pad = _frozen(
-            np.concatenate(
-                [self._sigma, np.zeros((1, self._sigma.shape[1]))]
-            )
+            np.concatenate([sigma, np.zeros((1, sigma.shape[1]))])
             if self._num_pairs
             else np.zeros((1, max(self._num_agents, 1)))
         )
@@ -531,7 +492,6 @@ class ConferenceArrays:
                 self._num_agents,
                 self._num_pairs,
                 self._profile.demand_out_mbps,
-                self._flows_fused,
             )
             self._layouts[sid] = layout
         return layout
@@ -600,12 +560,7 @@ class ConferenceArrays:
         num_tc = layout.num_transcodes
         n_lastmile = 2 * layout.num_streams
         n_usage = n_lastmile + 2 * num_inter + num_tc
-        num_mid = (
-            layout.num_flows
-            if layout.flows_fused
-            else layout.num_flows - layout.num_direct
-        )
-        edges_at = n_usage + 2 * layout.num_flows + num_mid
+        edges_at = n_usage + 3 * layout.num_flows
 
         # One whole-table comparison + one reduceat evaluates every
         # guard: the first ``num_inter`` segments are the inter-agent
@@ -683,33 +638,17 @@ class ConferenceArrays:
             "delays", (num_flows, size), dtype=np.float64
         )
         np.add(h[a, layout.f_src_uids], h[b, layout.f_dst_uids], out=delays)
-        if layout.flows_fused:
-            # One fused block: direct flows hop "via" their own source
-            # agent (d[a, a] == +0.0, zero sigma row) — addend-exact.
-            m = values[flows_at + 2 * num_flows : flows_at + 3 * num_flows]
-            hops = self._buffer(
-                "hops", (num_flows, size), dtype=np.float64
-            )
-            np.add(d[a, m], d[m, b], out=hops)
-            hops += self._sigma_pad[layout.sig_rows, m]
-            delays += hops
-            sorted_delays = delays
-        else:
-            num_direct = layout.num_direct
-            num_tasked = num_flows - num_direct
-            if num_direct:
-                delays[:num_direct] += d[a[:num_direct], b[:num_direct]]
-            if num_tasked:
-                at = flows_at + 2 * num_flows
-                m = values[at : at + num_tasked]
-                hops = np.add(d[a[num_direct:], m], d[m, b[num_direct:]])
-                hops += self._sigma[layout.t_pair_ids, m]
-                delays[num_direct:] += hops
-            sorted_delays = delays[layout.perm]
+        # Direct flows hop "via" their own source agent (d[a, a] ==
+        # +0.0, zero sigma row) — addend-exact.
+        m = values[flows_at + 2 * num_flows : flows_at + 3 * num_flows]
+        hops = self._buffer("hops", (num_flows, size), dtype=np.float64)
+        np.add(d[a, m], d[m, b], out=hops)
+        hops += self._sigma_pad[layout.sig_rows, m]
+        delays += hops
 
         # Segment-max per destination user; exact under any reduction
         # order, clamped at ``session_delays``' 0.0 initial value.
-        worst = np.maximum.reduceat(sorted_delays, layout.seg_starts, axis=0)
+        worst = np.maximum.reduceat(delays, layout.seg_starts, axis=0)
         np.maximum(worst, 0.0, out=worst)
         max_flow = np.maximum(delays.max(axis=0), 0.0)
 

@@ -2,23 +2,27 @@
 
 Sessions are bootstrapped one at a time (the paper's sessions start
 independently); each sees the residual capacities left by those already
-admitted via a shared :class:`CapacityLedger`.  The Fig. 9 success-rate
-experiments call :func:`try_bootstrap` and count scenarios where every
-session was admitted and the final assignment is feasible.
+admitted via a shared :class:`CapacityLedger`, fed with
+:meth:`~repro.core.fastpath.ConferenceProfile.session_usage`.  The
+verdict is capacity-only — constraints (1)-(7), the Fig. 9 notion of a
+"successfully initialized" scenario: initial assignments may exceed
+``Dmax`` on individual flows (AgRank is not delay-aware), and Alg. 1 —
+whose candidate filter enforces constraint (8) — heals them on its first
+hops.  The Fig. 9 success-rate experiments call :func:`try_bootstrap` and
+count scenarios where every session was admitted within capacity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from repro.core.agrank import AgRankConfig, agrank_assignment
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
-from repro.core.feasibility import check_assignment
+from repro.core.fastpath import profile_for
+from repro.core.feasibility import FeasibilityReport, capacity_violations
 from repro.core.nearest import nearest_assignment
-from repro.core.traffic import compute_session_usage
 from repro.errors import InfeasibleError, SolverError
 from repro.model.conference import Conference
 
@@ -40,16 +44,9 @@ def bootstrap_assignment(
     policy: Policy = "agrank",
     config: AgRankConfig | None = None,
     sids: Iterable[int] | None = None,
-    check_delay: bool = True,
 ) -> Assignment:
-    """Bootstrap the given (default all) sessions, raising on failure.
-
-    ``check_delay=False`` validates capacities only: initial assignments
-    may exceed ``Dmax`` on individual flows (AgRank is not delay-aware),
-    and Alg. 1 — whose candidate filter enforces constraint (8) — heals
-    them on its first hops.
-    """
-    result = try_bootstrap(conference, policy, config, sids, check_delay)
+    """Bootstrap the given (default all) sessions, raising on failure."""
+    result = try_bootstrap(conference, policy, config, sids)
     if not result.success:
         raise InfeasibleError(
             f"bootstrap policy {policy!r} failed at session {result.failed_sid}: "
@@ -63,20 +60,18 @@ def try_bootstrap(
     policy: Policy = "agrank",
     config: AgRankConfig | None = None,
     sids: Iterable[int] | None = None,
-    check_delay: bool = True,
 ) -> BootstrapResult:
     """Bootstrap sessions one by one, reporting success or the first
-    failure (capacity rejection or final infeasibility).
+    failure (an AgRank rejection, or summed usage over capacity).
 
-    ``check_delay=False`` restricts the final feasibility check to the
-    capacity constraints (5)-(7) — the Fig. 9 notion of a "successfully
-    initialized" scenario, which is about subscription capacity only.
+    A repeated sid is placed again but its usage counts once.
     """
     if policy not in ("nearest", "agrank"):
         raise SolverError(f"unknown bootstrap policy {policy!r}")
     sid_list = list(sids) if sids is not None else list(range(conference.num_sessions))
     assignment = Assignment.empty(conference)
     ledger = CapacityLedger(conference)
+    profile = profile_for(conference)
 
     for sid in sid_list:
         if policy == "nearest":
@@ -93,19 +88,16 @@ def try_bootstrap(
                     failed_sid=sid,
                     reason=str(error),
                 )
-        ledger.set_session(compute_session_usage(conference, assignment, sid))
+        ledger.set_session(
+            profile.session_usage(assignment.user_agent, assignment.task_agent, sid)
+        )
 
-    report = check_assignment(
-        conference,
-        assignment,
-        sid_list,
-        dmax_ms=None if check_delay else math.inf,
-    )
-    if not report.ok:
+    violations = capacity_violations(conference, *ledger.totals())
+    if violations:
         return BootstrapResult(
             assignment=assignment,
             success=False,
             failed_sid=None,
-            reason=report.summary(),
+            reason=FeasibilityReport(ok=False, violations=violations).summary(),
         )
     return BootstrapResult(assignment=assignment, success=True)

@@ -5,18 +5,17 @@ capacity constraints (5)-(7) couple them: they cap the *summed* usage of
 all sessions at each agent.  The ledger keeps per-session usage vectors and
 running totals so a session can test a candidate assignment against the
 residual capacity left by everyone else in O(L) — the "fetch the updated
-list of residual capacities" step of Alg. 1.
+list of residual capacities" step of Alg. 1.  Its callers feed it
+:meth:`~repro.core.fastpath.ConferenceProfile.session_usage` (or the
+kernel's rows for the same candidate, which are pinned bit-identical).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.assignment import Assignment
+from repro.core.fastpath import SessionUsage
 from repro.core.feasibility import CAPACITY_TOLERANCE, agent_capacity_arrays
-from repro.core.traffic import SessionUsage, compute_session_usage
 from repro.errors import ModelError
 from repro.model.conference import Conference
 
@@ -38,25 +37,6 @@ class CapacityLedger:
         self._up = np.zeros(num_agents)
         self._slots = np.zeros(num_agents)
         self._sessions: dict[int, SessionUsage] = {}
-
-    # ------------------------------------------------------------------ #
-    # Construction                                                       #
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_assignment(
-        cls,
-        conference: Conference,
-        assignment: Assignment,
-        sids: Iterable[int] | None = None,
-    ) -> "CapacityLedger":
-        """A ledger populated with the usage of the given sessions."""
-        ledger = cls(conference)
-        if sids is None:
-            sids = range(conference.num_sessions)
-        for sid in sids:
-            ledger.set_session(compute_session_usage(conference, assignment, sid))
-        return ledger
 
     # ------------------------------------------------------------------ #
     # Mutation                                                           #

@@ -1,4 +1,4 @@
-"""Precomputed evaluation fast path.
+"""The per-conference flow model: one production evaluator per quantity.
 
 Candidate evaluation dominates Alg. 1's cost: every HOP evaluates
 ``O(|U(s)| * L)`` neighbouring assignments, and each evaluation needs the
@@ -7,15 +7,22 @@ session's traffic vector, transcode counts and flow delays.  All of the
 transcoding into what, per-user bitrate sums, per-(pair, agent) transcoding
 latencies) is static per conference — only the agent choices vary.
 
-:class:`ConferenceProfile` precomputes that structure once and provides
-allocation-light per-assignment evaluation primitives.  The reference
-implementations in :mod:`repro.core.traffic` and the per-flow functions
-of :mod:`repro.core.delay` remain the ground truth the test suite checks
-these against.  The objective evaluator, AgRank and the simulator call
-them per assignment; the solvers score whole move sets with
-:mod:`repro.core.arrays`, which flattens the session plans built here;
-:func:`repro.core.delay.average_conferencing_delay` evaluates the
-flattened :class:`FlowTable`.
+:class:`ConferenceProfile` precomputes that structure once per conference
+(:func:`profile_for` caches it on the conference) and evaluates one
+assignment at a time:
+
+* :meth:`ConferenceProfile.session_usage` — a session's per-agent usage
+  (:class:`SessionUsage`) per the paper's ``mu_klu`` formula;
+* :meth:`ConferenceProfile.session_delays` — the objective's delay terms:
+  per-user worst incoming delay, their mean ``F(d_s)`` and the longest
+  flow.
+
+The solvers score whole move sets with :mod:`repro.core.arrays`, which
+flattens the session plans built here and is pinned bit for bit to these
+two methods; :mod:`repro.core.delay` evaluates the flattened
+:class:`FlowTable` for the recorded delay metric and constraint (8).  The
+direct per-flow form of the same equations lives in ``tests/`` as the
+oracle the suite checks all three against.
 """
 
 from __future__ import annotations
@@ -24,8 +31,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.traffic import SessionUsage
 from repro.model.conference import Conference
+
+
+@dataclass(frozen=True)
+class SessionUsage:
+    """Per-agent resource usage attributable to one session.
+
+    All arrays have length L (number of agents).  ``inter_in[l]`` is
+    ``x_ls``; ``download`` / ``upload`` are the left-hand sides of
+    constraints (5) / (6) restricted to this session; ``transcodes`` is
+    ``y_ls``.
+    """
+
+    sid: int
+    inter_in: np.ndarray
+    inter_out: np.ndarray
+    download: np.ndarray
+    upload: np.ndarray
+    transcodes: np.ndarray
+
+    @property
+    def total_inter_agent_mbps(self) -> float:
+        """Total inter-agent traffic of the session (the paper's metric)."""
+        return float(self.inter_in.sum())
+
+    def __post_init__(self) -> None:
+        for name in ("inter_in", "inter_out", "download", "upload", "transcodes"):
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -200,7 +233,42 @@ class ConferenceProfile:
     def session_usage(
         self, user_agent: np.ndarray, task_agent: np.ndarray, sid: int
     ) -> SessionUsage:
-        """Fast equivalent of :func:`repro.core.traffic.compute_session_usage`."""
+        """Session ``sid``'s per-agent usage, per the paper's ``mu_klu``
+        formula (Sec. III-B).
+
+        ``mu_klu`` is the download traffic at agent ``l`` received from
+        agent ``k`` carrying streams that originate at user ``u``.  Its
+        three terms:
+
+        1. ``lambda_ku * nu'_lu * kappa(r^u_u)`` — ``u`` attaches to ``k``
+           and ``l`` transcodes ``u``'s stream, so the raw upstream ships
+           ``k -> l``;
+        2. ``(max_{v in P(u), theta_uv=0} lambda_lv) * lambda_ku * (1 -
+           nu'_lu) * kappa(r^u_u)`` — some destination on ``l`` wants the
+           *raw* stream and ``l`` is not already receiving it for
+           transcoding;
+        3. ``sum_{r != r^u_u} (max_{v in P(u), r^d_vu=r} lambda_lv) * (1 -
+           lambda_lu) * nu_kru * kappa(r)`` — ``k`` transcodes ``u``'s
+           stream to ``r`` and some destination on ``l`` demands ``r``.
+
+        Here ``nu_lru = max_v gamma_lruv`` (agent ``l`` runs the task
+        ``(u, r)`` for at least one destination) and ``nu'_lu = max_r
+        nu_lru``.  A task is a distinct ``(agent, source, target rep)``
+        triple and occupies one slot of ``t_l`` however many destinations
+        consume it (constraint (7)); two destinations demanding the same
+        representation may still be served by tasks on different agents,
+        and then both count.  The ``(1 - lambda_lu)`` factor of term 3 is
+        a quirk of the published formula, implemented verbatim:
+        transcoded traffic flowing back into the source user's own agent
+        is not charged.
+
+        From ``mu``: ``inter_in[l] = x_ls = sum_u sum_{k != l} mu_klu``
+        (the argument of the bandwidth cost ``g_l``), ``inter_out`` its
+        egress analogue, ``download`` = attached users' upstreams plus
+        ``inter_in`` (constraint (5)), ``upload`` = streams to attached
+        users plus ``inter_out`` (constraint (6)) and ``transcodes`` =
+        ``y_ls`` (constraint (7)).
+        """
         plan = self._plans[sid]
         num_agents = self.num_agents
         inter_in = np.zeros(num_agents)
@@ -247,10 +315,15 @@ class ConferenceProfile:
 
     def session_delays(
         self, user_agent: np.ndarray, task_agent: np.ndarray, sid: int
-    ) -> tuple[float, float]:
-        """``(mean of per-user worst incoming delay, max flow delay)``.
+    ) -> tuple[float, float, dict[int, float]]:
+        """``(F(d_s), max flow delay, per-user worst incoming delay)``.
 
-        The first value is ``F(d_s)``; the second feeds constraint (8).
+        ``F(d_s)`` is the mean of the per-user worst delays (the
+        objective's delay term); the longest flow feeds the hop filter's
+        constraint (8); the per-user dict, in session user order, feeds
+        the objective's average-delay metric.  A transcoded flow adds
+        ``(h + h) + ((d + d) + sigma)`` — the kernel's order, which
+        :mod:`repro.core.arrays` reproduces bit for bit.
         """
         plan = self._plans[sid]
         h = self.h
@@ -271,29 +344,7 @@ class ConferenceProfile:
             if delay > max_flow:
                 max_flow = delay
         mean = sum(worst.values()) / len(worst)
-        return mean, max_flow
-
-    def session_user_delays(
-        self, user_agent: np.ndarray, task_agent: np.ndarray, sid: int
-    ) -> dict[int, float]:
-        """Per-user worst incoming delays (fast analogue of
-        :func:`repro.core.delay.session_user_delays`)."""
-        plan = self._plans[sid]
-        h = self.h
-        d = self.d
-        worst: dict[int, float] = {u: 0.0 for u in plan.users}
-        for source, destination, pair_index in plan.flows:
-            a = int(user_agent[source])
-            b = int(user_agent[destination])
-            delay = h[a, source] + h[b, destination]
-            if pair_index < 0:
-                delay += d[a, b]
-            else:
-                m = int(task_agent[pair_index])
-                delay += d[a, m] + d[m, b] + self.sigma[pair_index, m]
-            if delay > worst[destination]:
-                worst[destination] = delay
-        return worst
+        return mean, max_flow, worst
 
 
 def _columns(rows: list[tuple[int, ...]], width: int) -> list[np.ndarray]:
@@ -302,18 +353,11 @@ def _columns(rows: list[tuple[int, ...]], width: int) -> list[np.ndarray]:
     return [table[:, i].copy() for i in range(width)]
 
 
-_PROFILE_CACHE: dict[int, ConferenceProfile] = {}
-
-
 def profile_for(conference: Conference) -> ConferenceProfile:
-    """A cached profile per conference instance (keyed by identity)."""
-    key = id(conference)
-    profile = _PROFILE_CACHE.get(key)
-    if profile is None or profile._conference is not conference:
+    """The conference's :class:`ConferenceProfile`, cached on the
+    conference (same lifetime, no global registry)."""
+    profile = getattr(conference, "_conference_profile", None)
+    if profile is None:
         profile = ConferenceProfile(conference)
-        _PROFILE_CACHE[key] = profile
-        if len(_PROFILE_CACHE) > 64:  # bound the cache; keep newest entries
-            oldest = next(iter(_PROFILE_CACHE))
-            if oldest != key:
-                del _PROFILE_CACHE[oldest]
+        conference._conference_profile = profile
     return profile

@@ -4,20 +4,24 @@ Constraints (1)-(4) are structural (one agent per user, one agent per
 transcoding pair) and hold by construction of :class:`Assignment` whenever
 every active entry is a valid agent id; the checker verifies that.
 Constraints (5)-(7) are the capacity constraints, evaluated on the summed
-per-session usage; constraint (8) caps every flow's end-to-end delay at
-``Dmax``.
+per-session usage of
+:meth:`~repro.core.fastpath.ConferenceProfile.session_usage` by
+:func:`capacity_violations` (which the bootstrap's final verdict shares);
+constraint (8) caps every flow's end-to-end delay at ``Dmax``, checked on
+:func:`~repro.core.delay.flow_table_delays`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.delay import delay_violations
-from repro.core.traffic import compute_session_usage
+from repro.core.delay import flow_table_delays
+from repro.core.fastpath import profile_for
 from repro.model.conference import Conference
 from repro.types import UNASSIGNED
 
@@ -57,17 +61,52 @@ def agent_capacity_arrays(conference: Conference) -> tuple[np.ndarray, np.ndarra
     return download, upload, slots
 
 
+def capacity_violations(
+    conference: Conference,
+    download: np.ndarray,
+    upload: np.ndarray,
+    transcodes: np.ndarray,
+) -> list[str]:
+    """One line per agent resource whose summed usage exceeds its
+    capacity (constraints (5)-(7)), agent by agent."""
+    cap_down, cap_up, cap_slots = agent_capacity_arrays(conference)
+    lines: list[str] = []
+    for l in range(conference.num_agents):
+        name = conference.agent(l).name
+        if download[l] > cap_down[l] + CAPACITY_TOLERANCE:
+            lines.append(
+                f"constraint (5): agent {name} download {download[l]:.3f} Mbps "
+                f"> capacity {cap_down[l]:.3f}"
+            )
+        if upload[l] > cap_up[l] + CAPACITY_TOLERANCE:
+            lines.append(
+                f"constraint (6): agent {name} upload {upload[l]:.3f} Mbps "
+                f"> capacity {cap_up[l]:.3f}"
+            )
+        if transcodes[l] > cap_slots[l] + CAPACITY_TOLERANCE:
+            lines.append(
+                f"constraint (7): agent {name} runs {transcodes[l]:.0f} transcodes "
+                f"> capacity {cap_slots[l]:.0f}"
+            )
+    return lines
+
+
 def check_assignment(
     conference: Conference,
     assignment: Assignment,
     sids: Iterable[int] | None = None,
     dmax_ms: float | None = None,
 ) -> FeasibilityReport:
-    """Check constraints (1)-(8) over the given (default all) sessions."""
+    """Check constraints (1)-(8) over the given (default all) sessions.
+
+    A repeated sid is checked once: capacities sum each session's usage
+    a single time.  The delay cap defaults to the conference's ``Dmax``;
+    an infinite cap skips (8).
+    """
     report = FeasibilityReport()
     if sids is None:
         sids = range(conference.num_sessions)
-    sids = list(sids)
+    sids = list(dict.fromkeys(sids))
     num_agents = conference.num_agents
 
     # (1)-(2): every active user attached to exactly one valid agent.
@@ -97,42 +136,31 @@ def check_assignment(
         return report  # usage/delay formulas require a structurally valid state
 
     # (5)-(7): capacities against the summed session usage.
+    profile = profile_for(conference)
     download = np.zeros(num_agents)
     upload = np.zeros(num_agents)
     transcodes = np.zeros(num_agents)
     for sid in sids:
-        usage = compute_session_usage(conference, assignment, sid)
+        usage = profile.session_usage(assignment.user_agent, assignment.task_agent, sid)
         download += usage.download
         upload += usage.upload
         transcodes += usage.transcodes
-    cap_down, cap_up, cap_slots = agent_capacity_arrays(conference)
-    for l in range(num_agents):
-        name = conference.agent(l).name
-        if download[l] > cap_down[l] + CAPACITY_TOLERANCE:
-            report.add(
-                f"constraint (5): agent {name} download {download[l]:.3f} Mbps "
-                f"> capacity {cap_down[l]:.3f}"
-            )
-        if upload[l] > cap_up[l] + CAPACITY_TOLERANCE:
-            report.add(
-                f"constraint (6): agent {name} upload {upload[l]:.3f} Mbps "
-                f"> capacity {cap_up[l]:.3f}"
-            )
-        if transcodes[l] > cap_slots[l] + CAPACITY_TOLERANCE:
-            report.add(
-                f"constraint (7): agent {name} runs {transcodes[l]:.0f} transcodes "
-                f"> capacity {cap_slots[l]:.0f}"
-            )
+    for line in capacity_violations(conference, download, upload, transcodes):
+        report.add(line)
 
     # (8): per-flow delay cap.
-    for sid in sids:
-        for source, destination, delay in delay_violations(
-            conference, assignment, sid, dmax_ms
+    cap = conference.dmax_ms if dmax_ms is None else dmax_ms
+    if not math.isinf(cap):
+        selected = np.zeros(conference.num_sessions, dtype=bool)
+        selected[sids] = True
+        for sources, destinations, delays in flow_table_delays(
+            conference, assignment, selected
         ):
-            report.add(
-                f"constraint (8): flow {source}->{destination} delay "
-                f"{delay:.1f} ms > Dmax"
-            )
+            for i in np.flatnonzero(delays > cap + 1e-9):
+                report.add(
+                    f"constraint (8): flow {sources[i]}->{destinations[i]} delay "
+                    f"{delays[i]:.1f} ms > Dmax"
+                )
     return report
 
 

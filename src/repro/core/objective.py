@@ -26,8 +26,7 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.costs import CostFunction, LinearCost, uniform_costs, validate_cost_vector
-from repro.core.fastpath import profile_for
-from repro.core.traffic import SessionUsage
+from repro.core.fastpath import SessionUsage, profile_for
 from repro.errors import ModelError
 from repro.model.conference import Conference
 
@@ -289,7 +288,7 @@ class ObjectiveEvaluator:
         usage = self._profile.session_usage(
             assignment.user_agent, assignment.task_agent, sid
         )
-        delay_cost, _max_flow = self._profile.session_delays(
+        delay_cost, _max_flow, _worst = self._profile.session_delays(
             assignment.user_agent, assignment.task_agent, sid
         )
         return self.assemble_session_cost(sid, usage, delay_cost)
@@ -309,11 +308,10 @@ class ObjectiveEvaluator:
             raise ModelError("cannot evaluate an objective over zero sessions")
         delays: list[float] = []
         for cost in sessions:
-            delays.extend(
-                self._profile.session_user_delays(
-                    assignment.user_agent, assignment.task_agent, cost.sid
-                ).values()
+            _cost, _max_flow, worst = self._profile.session_delays(
+                assignment.user_agent, assignment.task_agent, cost.sid
             )
+            delays.extend(worst.values())
         return TotalCost(
             phi=sum(c.phi for c in sessions),
             inter_agent_mbps=sum(c.inter_agent_mbps for c in sessions),

@@ -29,10 +29,10 @@ from repro.core.arrays import (
 )
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
+from repro.core.fastpath import SessionUsage
 from repro.core.feasibility import CAPACITY_TOLERANCE
 from repro.core.neighborhood import Move
 from repro.core.objective import ObjectiveEvaluator, SessionCost
-from repro.core.traffic import SessionUsage
 from repro.errors import ModelError, SolverError
 from repro.model.conference import Conference
 from repro.netsim.noise import NoiseModel, NoNoise
@@ -194,9 +194,7 @@ class SearchContext:
         }
         self._arrays = arrays_for(evaluator.profile)
         self._phi = PhiArray({sid: cost.phi for sid, cost in self._costs.items()})
-        # The ledger is fed from the costs just computed
-        # (``profile.session_usage`` is pinned bit-identical to
-        # ``compute_session_usage``).
+        # The ledger is fed from the costs just computed.
         self._ledger = CapacityLedger(self._conference)
         for cost in self._costs.values():
             self._ledger.set_session(cost.usage)
@@ -237,11 +235,10 @@ class SearchContext:
         traffic = sum(c.inter_agent_mbps for c in self._costs.values())
         delays: list[float] = []
         for sid in self._active:
-            delays.extend(
-                profile.session_user_delays(
-                    self._assignment.user_agent, self._assignment.task_agent, sid
-                ).values()
+            _cost, _max_flow, worst = profile.session_delays(
+                self._assignment.user_agent, self._assignment.task_agent, sid
             )
+            delays.extend(worst.values())
         return traffic, float(np.mean(delays))
 
     # ------------------------------------------------------------------ #

@@ -70,9 +70,7 @@ def sweep_scenario(
         else:
             # Admit on capacity only; Alg. 1's hop filter enforces the
             # delay cap from the first migration onwards.
-            initial = bootstrap_assignment(
-                conference, "agrank", config=agrank, check_delay=False
-            )
+            initial = bootstrap_assignment(conference, "agrank", config=agrank)
         init_total = evaluator.total(initial)
         outcomes.append(
             SweepOutcome(

@@ -80,15 +80,13 @@ def run_fig10(
             evaluator = ObjectiveEvaluator(
                 conference, ObjectiveWeights.normalized_for(conference)
             )
+            # The sweep reports raw initial-assignment metrics; large
+            # n_ngbr consolidations may exceed Dmax on single flows
+            # (AgRank is not delay-aware, and the bootstrap admits on
+            # capacity only), exactly like the paper's long-delay right
+            # end of Fig. 10(b).
             assignment = bootstrap_assignment(
-                conference,
-                "agrank",
-                config=AgRankConfig(n_ngbr=n),
-                # The sweep reports raw initial-assignment metrics; large
-                # n_ngbr consolidations may exceed Dmax on single flows
-                # (AgRank is not delay-aware), exactly like the paper's
-                # long-delay right end of Fig. 10(b).
-                check_delay=False,
+                conference, "agrank", config=AgRankConfig(n_ngbr=n)
             )
             total = evaluator.total(assignment)
             traffics.append(total.inter_agent_mbps)

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import render_table
-from repro.core.delay import session_delay_cost
+from repro.core.delay import average_conferencing_delay
 from repro.experiments.common import result_record
 from repro.core.exact import solve_exact
 from repro.core.nearest import nearest_assignment
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
-from repro.core.traffic import total_inter_agent_traffic
 from repro.workloads.motivating import motivating_conference
 
 
@@ -101,8 +100,10 @@ def run_fig2() -> Fig2Result:
         rows.append(
             {
                 "assignment of user 4": label,
-                "traffic (Mbps)": total_inter_agent_traffic(conference, candidate),
-                "delay cost F (ms)": session_delay_cost(conference, candidate, 0),
+                "traffic (Mbps)": evaluator.total(candidate).inter_agent_mbps,
+                "delay cost F (ms)": average_conferencing_delay(
+                    conference, candidate, [0]
+                ),
             }
         )
 
@@ -118,6 +119,8 @@ def run_fig2() -> Fig2Result:
         to_transcode_ms=conference.agent(to_agent).transcoding_latency_ms(
             source_rep, target_rep
         ),
-        optimal_traffic=total_inter_agent_traffic(conference, exact.assignment),
-        optimal_delay_cost=session_delay_cost(conference, exact.assignment, 0),
+        optimal_traffic=evaluator.total(exact.assignment).inter_agent_mbps,
+        optimal_delay_cost=average_conferencing_delay(
+            conference, exact.assignment, [0]
+        ),
     )

@@ -39,13 +39,10 @@ POLICY_VARIANTS: tuple[tuple[str, str, int], ...] = (
 
 def _attempt(conference, policy: str, n_ngbr: int) -> bool:
     if policy == "nearest":
-        result = try_bootstrap(conference, "nearest", check_delay=False)
+        result = try_bootstrap(conference, "nearest")
     else:
         result = try_bootstrap(
-            conference,
-            "agrank",
-            config=AgRankConfig(n_ngbr=n_ngbr),
-            check_delay=False,
+            conference, "agrank", config=AgRankConfig(n_ngbr=n_ngbr)
         )
     return result.success
 

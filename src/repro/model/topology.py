@@ -18,7 +18,15 @@ from repro.errors import ModelError
 
 
 class Topology:
-    """Validated, immutable container for the D and H delay matrices."""
+    """Validated, immutable container for the D and H delay matrices.
+
+    D is accepted with a diagonal that is only close to zero and may hold
+    ``-0.0``; it is stored with an exact ``+0.0`` diagonal and every
+    ``-0.0`` as ``+0.0``.  The candidate-evaluation kernel
+    (:mod:`repro.core.arrays`) relies on that: it prices a direct flow
+    ``a -> b`` as a hop via its own source agent, ``d[a, a] + d[a, b]``,
+    which is exact only when ``d[a, a]`` is ``+0.0``.
+    """
 
     def __init__(self, inter_agent_ms: np.ndarray, agent_user_ms: np.ndarray):
         d = np.asarray(inter_agent_ms, dtype=float)
@@ -35,7 +43,12 @@ class Topology:
             raise ModelError("delays must be non-negative")
         if not np.allclose(np.diag(d), 0.0):
             raise ModelError("inter-agent delay matrix must have a zero diagonal")
-        self._d = d.copy()
+        # The kernel's precondition (see the class docstring): ``d + 0.0``
+        # copies D with every -0.0 turned into +0.0 and every other value
+        # unchanged.
+        d = d + 0.0
+        np.fill_diagonal(d, 0.0)
+        self._d = d
         self._h = h.copy()
         self._d.setflags(write=False)
         self._h.setflags(write=False)

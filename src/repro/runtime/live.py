@@ -110,7 +110,7 @@ class LiveConference:
     ) -> "LiveConference":
         """Build the engine from a cold start.
 
-        Admission checks capacities only (``check_delay=False``): the
+        Admission checks capacities only (the bootstrap's verdict): the
         hop filter enforces the delay cap from the first migration
         onwards — the exact contract of the simulator's initial
         bootstrap, so both frontends start from the same assignment.
@@ -121,7 +121,6 @@ class LiveConference:
                 policy=initial_policy,
                 config=agrank,
                 sids=list(sids),
-                check_delay=False,
             )
         return cls(
             evaluator,
@@ -261,7 +260,6 @@ class LiveConference:
             policy=self._policy,
             config=self._agrank,
             sids=sids,
-            check_delay=False,
         )
         self._carried_hops += self._solver.hops
         self._solver = MarkovAssignmentSolver(

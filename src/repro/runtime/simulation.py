@@ -40,7 +40,7 @@ import numpy as np
 import repro.telemetry as tele
 from repro.core.agrank import AgRankConfig
 from repro.core.assignment import Assignment
-from repro.core.delay import average_conferencing_delay, session_user_delays
+from repro.core.delay import average_conferencing_delay
 from repro.core.markov import MarkovConfig
 from repro.core.objective import ObjectiveEvaluator
 from repro.errors import InfeasibleError, SimulationError
@@ -305,12 +305,13 @@ class ConferencingSimulator:
             for sid in self._config.track_sessions:
                 if sid in active:
                     cost = self._live.context.session_cost(sid)
-                    per_user = session_user_delays(
-                        self._conference, self._live.assignment, sid
-                    )
                     self._recorder.record(f"s{sid}/traffic", now, cost.inter_agent_mbps)
                     self._recorder.record(
-                        f"s{sid}/delay", now, float(np.mean(list(per_user.values())))
+                        f"s{sid}/delay",
+                        now,
+                        average_conferencing_delay(
+                            self._conference, self._live.assignment, [sid]
+                        ),
                     )
         if self._faults is not None:
             self._sample_resilience(active, now)
@@ -434,7 +435,7 @@ class ConferencingSimulator:
         profile = self._evaluator.profile
         violating = False
         for sid in active:
-            _cost, max_flow = profile.session_delays(
+            _cost, max_flow, _worst = profile.session_delays(
                 assignment.user_agent, assignment.task_agent, sid
             )
             if max_flow > self._conference.dmax_ms + 1e-9:

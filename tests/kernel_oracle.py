@@ -16,13 +16,13 @@ way, so the tests can pin the kernel against it bit for bit:
    order.
 
 Only tests use it.  The two profile functions are themselves checked
-against the ground truth in :mod:`repro.core.traffic` and
-:mod:`repro.core.delay` by ``test_core_fastpath.py``: usage exactly,
-delays only approximately.  ``delay.py`` adds a transcoded flow's terms
-left to right, ``((lastmile + d[a, m]) + d[m, b]) + sigma``, while
-``session_delays`` (and the kernel) add ``lastmile + ((d[a, m] +
-d[m, b]) + sigma)``, so about a quarter of delay costs and over a
-third of max-flow delays differ from ``delay.py`` in the last bits.
+against the per-flow oracle in ``tests/flow_oracle.py`` by
+``test_core_fastpath.py``: usage exactly, delays only approximately.
+The per-flow oracle (like :mod:`repro.core.delay`) adds a transcoded
+flow's terms left to right, ``((lastmile + d[a, m]) + d[m, b]) +
+sigma``, while ``session_delays`` (and the kernel) add ``lastmile +
+((d[a, m] + d[m, b]) + sigma)``, so about a quarter of delay costs and
+over a third of max-flow delays differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def oracle_rows(conference, assignment, sid):
     for move in session_moves(conference, assignment, sid):
         candidate = move.apply(assignment)
         usage = profile.session_usage(candidate.user_agent, candidate.task_agent, sid)
-        delay_cost, max_flow = profile.session_delays(
+        delay_cost, max_flow, _worst = profile.session_delays(
             candidate.user_agent, candidate.task_agent, sid
         )
         rows.append((move, usage, delay_cost, max_flow))

@@ -77,7 +77,7 @@ class TestRanking:
         symmetric_h = np.full((2, 4), 10.0)
         conf = builder.build(inter_agent_ms=symmetric_d, agent_user_ms=symmetric_h)
         from repro.core.assignment import Assignment
-        from repro.core.traffic import compute_session_usage
+        from tests.flow_oracle import compute_session_usage
 
         loaded = Assignment(np.array([0, 0, -1, -1]), np.zeros(0, dtype=np.int64))
         ledger = CapacityLedger(conf)

@@ -5,8 +5,8 @@ solvers, so it is pinned bit for bit against the slow one-move-at-a-time
 oracle in ``tests/kernel_oracle.py``: the move enumeration order, every
 candidate row (usage, transcodes, delays) on arbitrary assignments, the
 feasibility masks, the observed ``phi`` with capacity, alphas and noise
-varied, and the split-flow fallback used when the latency matrix is not
-clean enough for the fused formula.  Solver runs on compiled library
+varied, and a conference whose latency matrix the topology had to
+clean first.  Solver runs on compiled library
 scenarios and on scenario draws, with and without observation noise,
 check the candidate batch at every state they visit, and a Markov hop
 under a fixed rng must make the move that the oracle's candidates
@@ -23,7 +23,6 @@ import pytest
 
 from repro.core.annealing import AnnealingConfig, simulated_annealing
 from repro.core.arrays import (
-    ConferenceArrays,
     PhiArray,
     arrays_for,
     capacity_mask,
@@ -48,6 +47,8 @@ from repro.fleet.compile import compile_spec
 from repro.fleet.library import load_library_spec
 from repro.fleet.orchestrator import expand_matrix
 from repro.fleet.spec import RunSpec
+from repro.model.conference import Conference
+from repro.model.topology import Topology
 from repro.netsim.noise import GaussianNoise, QuantizedPerturbation
 from repro.workloads.prototype import prototype_conference
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
@@ -182,30 +183,41 @@ class TestKernelRows:
                 f"seed={seed} trial={trial} sid={sid}",
             )
 
-    def test_split_flow_fallback_bitwise_equal(self):
-        """Force the split (non-fused) flow path and re-check equality.
-
-        The fused formula requires a clean latency matrix; layouts built
-        with ``flows_fused=False`` must produce the same bits through
-        the split direct/transcoded blocks and the runtime permutation.
-        """
-        conference = scenario_conference(
+    def test_unclean_agent_matrix_is_stored_clean(self):
+        """A D whose diagonal is only close to zero and that holds a -0.0
+        is stored with an exact +0.0 diagonal and no -0.0 (the kernel's
+        precondition), and the kernel stays bit-identical to the oracle
+        on it."""
+        base = scenario_conference(
             seed=7, params=ScenarioParams(num_user_sites=48, num_users=24)
         )
-        profile = profile_for(conference)
-        assert arrays_for(profile)._flows_fused, "library matrices should be clean"
-        split = ConferenceArrays(profile)
-        split._flows_fused = False
+        d = np.array(base.topology.inter_agent_ms)
+        np.fill_diagonal(d, 1e-12)
+        d[0, 1] = d[1, 0] = -0.0
+        conference = Conference(
+            base.users,
+            base.sessions,
+            base.agents,
+            Topology(d, base.topology.agent_user_ms),
+            base.representations,
+            dmax_ms=base.dmax_ms,
+        )
+        stored = conference.topology.inter_agent_ms
+        assert np.array_equal(np.diagonal(stored), np.zeros(len(d)))
+        assert not np.signbit(stored).any()
+        off_diagonal = ~np.eye(len(d), dtype=bool)
+        assert np.array_equal(stored[off_diagonal], d[off_diagonal])
+
+        arrays = arrays_for(profile_for(conference))
         rng = np.random.default_rng(5)
         for trial in range(15):
             assignment = random_assignment(conference, rng)
             sid = int(rng.integers(conference.num_sessions))
             assert_rows_equal(
-                split.evaluate_candidates(assignment, sid),
+                arrays.evaluate_candidates(assignment, sid),
                 oracle_rows(conference, assignment, sid),
                 f"trial={trial} sid={sid}",
             )
-        assert not split.layout(sid).flows_fused
 
     @pytest.mark.parametrize("seed,params", SCENARIO_GRID + [(7, SLOT_TIGHT)])
     def test_masks_match_oracle_on_random_states(self, seed, params):

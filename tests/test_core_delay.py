@@ -1,4 +1,5 @@
-"""Tests for repro.core.delay — hand-computed end-to-end delays.
+"""Per-flow delay (the flow oracle) and repro.core.delay against
+hand-computed end-to-end delays.
 
 Geometry: D(L0,L1)=20; H[L0,u0]=10, H[L1,u0]=25, H[L0,u1]=30, H[L1,u1]=8.
 Reference transcoding latency (speed 1.0) for 720p->480p:
@@ -9,20 +10,20 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
-from repro.core.delay import (
-    average_conferencing_delay,
-    delay_violations,
-    flow_delay,
-    max_session_flow_delay,
-    session_delay_cost,
-    session_user_delays,
-)
+from repro.core.delay import average_conferencing_delay
 from repro.errors import ModelError, UnknownEntityError
 from repro.runtime.faults import Fault, apply_faults
 from repro.types import UNASSIGNED
 from repro.workloads.prototype import prototype_conference
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
 from tests.conftest import build_pair_conference
+from tests.flow_oracle import (
+    delay_violations,
+    flow_delay,
+    max_session_flow_delay,
+    session_delay_cost,
+    session_user_delays,
+)
 
 SIGMA_720_480 = 38.0
 

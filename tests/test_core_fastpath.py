@@ -1,18 +1,26 @@
-"""Tests for repro.core.fastpath — agreement with the reference
-implementations on every workload the suite touches: usage bit for bit
-(the search layer's ledger relies on it), delays approximately (see
-``tests/kernel_oracle.py`` for why)."""
+"""Tests for repro.core.fastpath — agreement with the per-flow oracle
+(``tests/flow_oracle.py``) on every workload the suite touches: usage bit
+for bit (the ledger and the bootstrap verdict rely on it), delays
+approximately (the profile adds a transcoded flow's terms in the kernel's
+order, see ``tests/kernel_oracle.py``)."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
-from repro.core.delay import session_delay_cost, session_user_delays
 from repro.core.fastpath import ConferenceProfile, profile_for
 from repro.core.nearest import nearest_assignment
-from repro.core.traffic import compute_session_usage
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
 from tests.conftest import build_pair_conference
+from tests.flow_oracle import (
+    compute_session_usage,
+    max_session_flow_delay,
+    session_delay_cost,
+    session_user_delays,
+)
 from tests.kernel_oracle import USAGE_FIELDS
 
 
@@ -74,7 +82,7 @@ class TestDelayEquivalence:
             assignment = random_assignment(proto_conf, rng)
             for sid in range(proto_conf.num_sessions):
                 ref = session_user_delays(proto_conf, assignment, sid)
-                fast = profile.session_user_delays(
+                _mean, _max_flow, fast = profile.session_delays(
                     assignment.user_agent, assignment.task_agent, sid
                 )
                 assert ref.keys() == fast.keys()
@@ -82,14 +90,15 @@ class TestDelayEquivalence:
                     assert ref[uid] == pytest.approx(fast[uid])
 
     def test_delay_cost_and_max_flow(self, proto_conf, rng):
-        from repro.core.delay import max_session_flow_delay
-
         profile = ConferenceProfile(proto_conf)
         assignment = random_assignment(proto_conf, rng)
         for sid in range(0, proto_conf.num_sessions, 3):
-            mean, max_flow = profile.session_delays(
+            mean, max_flow, worst = profile.session_delays(
                 assignment.user_agent, assignment.task_agent, sid
             )
+            assert list(worst) == list(proto_conf.session(sid).user_ids)
+            assert mean == sum(worst.values()) / len(worst)
+            assert max_flow == max(worst.values())
             assert mean == pytest.approx(
                 session_delay_cost(proto_conf, assignment, sid)
             )
@@ -102,6 +111,15 @@ class TestProfileCache:
     def test_profile_for_reuses_instance(self):
         conf = build_pair_conference("720p", "480p", "480p", "720p")
         assert profile_for(conf) is profile_for(conf)
+
+    def test_profile_lives_with_its_conference(self):
+        """No registry outlives the conference: once it is gone, a full
+        collection frees its profile too."""
+        conf = build_pair_conference("720p", "480p", "480p", "720p")
+        profile = weakref.ref(profile_for(conf))
+        del conf
+        gc.collect()
+        assert profile() is None
 
     def test_sigma_table_shape(self, proto_conf):
         profile = ConferenceProfile(proto_conf)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
 from repro.core.feasibility import check_assignment, is_feasible
-from repro.core.traffic import compute_session_usage
+from tests.flow_oracle import compute_session_usage, ledger_from_assignment
 from repro.errors import ModelError
 from repro.model.builder import ConferenceBuilder
 from repro.model.representation import PAPER_LADDER
@@ -90,7 +90,7 @@ class TestCapacityLedger:
     def test_totals_track_sessions(self):
         conf = capacity_conference()
         assignment = Assignment(np.array([0, 1]), np.array([0]))
-        ledger = CapacityLedger.from_assignment(conf, assignment)
+        ledger = ledger_from_assignment(conf, assignment)
         down, up, slots = ledger.totals()
         usage = compute_session_usage(conf, assignment, 0)
         assert np.allclose(down, usage.download)
@@ -100,7 +100,7 @@ class TestCapacityLedger:
     def test_remove_session_returns_capacity(self):
         conf = capacity_conference()
         assignment = Assignment(np.array([0, 1]), np.array([0]))
-        ledger = CapacityLedger.from_assignment(conf, assignment)
+        ledger = ledger_from_assignment(conf, assignment)
         ledger.remove_session(0)
         down, up, slots = ledger.totals()
         assert down.sum() == 0 and up.sum() == 0 and slots.sum() == 0
@@ -108,7 +108,7 @@ class TestCapacityLedger:
     def test_residuals_excluding_session(self):
         conf = capacity_conference()
         assignment = Assignment(np.array([0, 1]), np.array([0]))
-        ledger = CapacityLedger.from_assignment(conf, assignment)
+        ledger = ledger_from_assignment(conf, assignment)
         res_down_all, _, _ = ledger.residuals()
         res_down_excl, _, _ = ledger.residuals(excluding_sid=0)
         assert (res_down_excl >= res_down_all).all()
@@ -125,7 +125,7 @@ class TestCapacityLedger:
             inter_agent_ms=PAIR_D, agent_user_ms=np.full((2, 4), 10.0)
         )
         assignment = Assignment(np.array([0, 0, 0, 0]), np.zeros(0, dtype=np.int64))
-        ledger = CapacityLedger.from_assignment(conf, assignment)
+        ledger = ledger_from_assignment(conf, assignment)
         # L0 download = 4 * 5 = 20 > 12: session 1's own usage cannot fit.
         assert not ledger.fits(compute_session_usage(conf, assignment, 1))
         moved = Assignment(np.array([0, 0, 1, 1]), np.zeros(0, dtype=np.int64))
@@ -144,6 +144,6 @@ class TestCapacityLedger:
     def test_utilization(self):
         conf = capacity_conference()
         assignment = Assignment(np.array([0, 1]), np.array([0]))
-        ledger = CapacityLedger.from_assignment(conf, assignment)
+        ledger = ledger_from_assignment(conf, assignment)
         utilization = ledger.utilization()
         assert 0.0 < utilization["download"][0] <= 1.0

@@ -95,7 +95,7 @@ class TestSearchContext:
         # Moving the task to L1 keeps 76 ms; moving u0 to L1 gives
         # H[L1,u0]=25 + sigma + ... -> check each candidate's delay is fine.
         for candidate in candidates:
-            from repro.core.delay import max_session_flow_delay
+            from tests.flow_oracle import max_session_flow_delay
 
             assert (
                 max_session_flow_delay(

@@ -73,9 +73,9 @@ class TestBootstrap:
         with pytest.raises(InfeasibleError):
             bootstrap_assignment(conf, "agrank")
 
-    def test_check_delay_toggle(self):
-        """With a tiny Dmax every assignment violates (8); the capacity-
-        only notion used by Fig. 9 still succeeds."""
+    def test_verdict_is_capacity_only(self):
+        """With a tiny Dmax every assignment violates (8); the bootstrap's
+        capacity-only verdict (the Fig. 9 notion) still succeeds."""
         builder = ConferenceBuilder(PAPER_LADDER, dmax_ms=5.0)
         builder.add_agent(name="L0")
         builder.add_agent(name="L1")
@@ -83,8 +83,10 @@ class TestBootstrap:
         u1 = builder.user("720p", name="u1")
         builder.add_session(u0, u1)
         conf = builder.build(inter_agent_ms=PAIR_D, agent_user_ms=PAIR_H)
-        assert not try_bootstrap(conf, "nearest", check_delay=True).success
-        assert try_bootstrap(conf, "nearest", check_delay=False).success
+        result = try_bootstrap(conf, "nearest")
+        assert result.success
+        assert not is_feasible(conf, result.assignment)
+        assert is_feasible(conf, result.assignment, dmax_ms=math.inf)
 
 
 class TestExact:

@@ -1,4 +1,4 @@
-"""Tests for repro.core.traffic — hand-computed mu accounting.
+"""Tests for the flow oracle's mu formula — hand-computed accounting.
 
 Fixture geometry (conftest): agents L0/L1, D = 20 ms, H[L0,u0]=10,
 H[L1,u1]=8.  Bitrates: 720p=5, 480p=2.5, 360p=1.
@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
-from repro.core.traffic import (
+from repro.errors import ModelError
+from tests.conftest import build_pair_conference
+from tests.flow_oracle import (
     compute_session_usage,
     stream_mu,
     total_inter_agent_traffic,
 )
-from repro.errors import ModelError
-from tests.conftest import build_pair_conference
 
 
 def split_assignment(conf, task_agent=0):

@@ -1,18 +1,18 @@
-"""Detailed tests of SessionFlowPlan structure and transcoding module
-internals not covered elsewhere."""
+"""Detailed tests of the flow oracle's SessionFlowPlan structure and
+transcoding indicators not covered elsewhere."""
 
 import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
-from repro.core.flows import route_session_flows
-from repro.core.transcoding import (
+from tests.conftest import build_pair_conference, build_shared_dest_conference
+from tests.flow_oracle import (
     active_transcodes,
+    route_session_flows,
     session_transcode_map,
     transcode_counts,
     transcoding_agents_of,
 )
-from tests.conftest import build_pair_conference, build_shared_dest_conference
 
 
 @pytest.fixture()

@@ -48,7 +48,7 @@ class TestPrototypePipeline:
 
     def test_every_flow_within_dmax(self, outcome):
         conf, _evaluator, _initial, solver = outcome
-        from repro.core.delay import max_session_flow_delay
+        from tests.flow_oracle import max_session_flow_delay
 
         for sid in range(conf.num_sessions):
             assert (

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from repro.analysis.stats import box_stats
 from repro.core.assignment import Assignment
 from repro.core.costs import PiecewiseLinearCost, PowerCost
-from repro.core.flows import route_session_flows
 from repro.core.markov import hop_probabilities
 from repro.core.theory import gibbs_distribution, uap_beta_optimum
-from repro.core.traffic import compute_session_usage
 from repro.model.builder import ConferenceBuilder
 from repro.model.representation import PAPER_LADDER
 from repro.netsim.geo import GeoPoint, great_circle_km
 from repro.netsim.latency import LatencyModel
 from repro.netsim.sites import region
+from tests.flow_oracle import compute_session_usage, route_session_flows
 
 REP_NAMES = ("360p", "480p", "720p", "1080p")
 

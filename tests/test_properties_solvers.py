@@ -12,9 +12,9 @@ from repro.core.feasibility import is_feasible
 from repro.core.markov import MarkovAssignmentSolver, MarkovConfig
 from repro.core.nearest import nearest_assignment
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
-from repro.core.traffic import compute_session_usage
 from repro.model.builder import ConferenceBuilder
 from repro.model.representation import PAPER_LADDER
+from tests.flow_oracle import compute_session_usage, ledger_from_assignment
 
 REP_NAMES = ("360p", "480p", "720p", "1080p")
 
@@ -55,9 +55,7 @@ class TestBootstrapPostconditions:
     def test_successful_bootstrap_is_capacity_feasible(self, conf):
         """Whenever try_bootstrap reports success, the assignment really
         satisfies constraints (1)-(7)."""
-        result = try_bootstrap(
-            conf, "agrank", config=AgRankConfig(n_ngbr=2), check_delay=False
-        )
+        result = try_bootstrap(conf, "agrank", config=AgRankConfig(n_ngbr=2))
         if result.success:
             assert is_feasible(conf, result.assignment, dmax_ms=float("inf"))
 
@@ -109,10 +107,7 @@ class TestBootstrapPostconditions:
             conf = build()
             for n in admitted:
                 if try_bootstrap(
-                    conf,
-                    "agrank",
-                    config=AgRankConfig(n_ngbr=n),
-                    check_delay=False,
+                    conf, "agrank", config=AgRankConfig(n_ngbr=n)
                 ).success:
                     admitted[n] += 1
         assert admitted[2] > admitted[1]
@@ -137,7 +132,7 @@ class TestLedgerConsistency:
     @settings(max_examples=25, deadline=None)
     def test_residuals_plus_usage_equals_capacity(self, conf):
         assignment = nearest_assignment(conf)
-        ledger = CapacityLedger.from_assignment(conf, assignment)
+        ledger = ledger_from_assignment(conf, assignment)
         res_down, res_up, res_slots = ledger.residuals()
         down, up, slots = ledger.totals()
         caps_down = np.array([a.download_mbps for a in conf.agents])

@@ -1,6 +1,9 @@
 """Repository-hygiene tests: docs exist, stay consistent with the code,
 and the public API re-exports resolve."""
 
+import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +97,46 @@ class TestTreeHygiene:
             or path.startswith(("fleet_runs/", "runs/"))
         ]
         assert not offenders, f"tracked build debris: {offenders}"
+
+
+class TestDeclaredDependencies:
+    """Every third-party package that ``src/`` imports is declared in
+    ``setup.py``'s ``install_requires``, so an install of exactly the
+    declared requirements can run the code."""
+
+    #: Import names whose distribution goes by another name.
+    DISTRIBUTION_OF = {"yaml": "pyyaml"}
+
+    @staticmethod
+    def install_requires() -> set[str]:
+        tree = ast.parse((REPO_ROOT / "setup.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "install_requires":
+                return {
+                    re.split(r"[<>=!~;\[ ]", requirement)[0].lower()
+                    for requirement in ast.literal_eval(node.value)
+                }
+        raise AssertionError("setup.py declares no install_requires")
+
+    def test_every_third_party_import_is_declared(self):
+        declared = self.install_requires()
+        missing: dict[str, str] = {}
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top == "repro" or top in sys.stdlib_module_names:
+                        continue
+                    if self.DISTRIBUTION_OF.get(top, top.lower()) not in declared:
+                        missing.setdefault(top, str(path.relative_to(REPO_ROOT)))
+        assert not missing, f"imported but not in install_requires: {missing}"
 
 
 class TestPublicApi:
