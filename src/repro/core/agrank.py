@@ -15,10 +15,10 @@ AgRank bootstraps Alg. 1 with a close-to-optimal initial assignment:
    PageRank's fast geometric convergence; ``d -> 1`` recovers the paper's
    undamped iteration.
 3. **Assignment** — each user picks the highest-ranked agent among its own
-   candidates N(u).  With capacity awareness on, users fall back to their
-   next-ranked candidate when the choice cannot fit the residual
-   capacities (this is what gives AgRank#3 its higher success rate than
-   AgRank#2 in Fig. 9 — a larger feasible set per user).
+   candidates N(u), falling back to their next-ranked candidate when the
+   choice cannot fit the residual capacities (this is what gives AgRank#3
+   its higher success rate than AgRank#2 in Fig. 9 — a larger feasible
+   set per user).
 4. **Transcoding placement** — the paper's rule of thumb: when at least two
    destinations demand the same representation, transcode at the source
    agent (one task serves all); a single down-scaled destination also
@@ -49,6 +49,10 @@ from repro.model.representation import Representation
 class AgRankConfig:
     """Parameters of Alg. 2.
 
+    Placement always searches the users' candidate combinations in rank
+    order for the first that fits the residual capacities; there is no
+    capacity-oblivious mode.
+
     Attributes
     ----------
     n_ngbr:
@@ -65,8 +69,6 @@ class AgRankConfig:
         Convergence threshold of the power iteration (paper line 13).
     max_iterations:
         Safety cap; the iteration converges geometrically.
-    capacity_aware:
-        Fall back to lower-ranked candidates when capacities bind.
     max_leaf_checks:
         Bound on full-assignment feasibility checks during the fallback
         search (keeps the bootstrap O(1) per session).
@@ -76,7 +78,6 @@ class AgRankConfig:
     damping: float = 0.3
     epsilon: float = 1e-10
     max_iterations: int = 500
-    capacity_aware: bool = True
     max_leaf_checks: int = 512
 
     def __post_init__(self) -> None:
@@ -265,7 +266,8 @@ def agrank_assignment(
     config: AgRankConfig | None = None,
     base: Assignment | None = None,
 ) -> Assignment:
-    """Bootstrap session ``sid`` with Alg. 2 (optionally capacity-aware).
+    """Bootstrap session ``sid`` with Alg. 2 against ``ledger``'s
+    residual capacities (unbounded without a ledger).
 
     Raises :class:`InfeasibleError` when no candidate combination fits the
     residual capacities — the "failed scenario" outcome of Fig. 9.
@@ -298,10 +300,7 @@ def agrank_assignment(
         res_slots = np.full(num_agents, math.inf)
 
     users = list(session.user_ids)
-    option_lists = [
-        ordered_candidates[uid] if config.capacity_aware else ordered_candidates[uid][:1]
-        for uid in users
-    ]
+    option_lists = [ordered_candidates[uid] for uid in users]
 
     checks = 0
     for combo in itertools.product(*option_lists):
@@ -333,8 +332,6 @@ def agrank_assignment(
         )
         if fits:
             return candidate
-        if not config.capacity_aware:
-            return candidate  # capacity-oblivious callers take what they get
 
     raise InfeasibleError(
         f"AgRank found no feasible bootstrap for session {sid} "

@@ -9,7 +9,10 @@ of the delay-cap and capacity masks (:func:`delay_mask`,
 :func:`capacity_mask`).
 
 The *static* structure of every session is flattened once into
-parallel numpy index arrays (:class:`SessionLayout`).  Every usage
+parallel numpy index arrays (:class:`SessionLayout`), built from the
+profile's session plans.  :func:`arrays_for` caches them on the
+profile, and nothing here points back at the profile, so they are
+freed with the conference.  Every usage
 contribution of a session (a ``+= kappa`` into one per-agent slot,
 guarded by set-dedup conditions) becomes one row of a static
 instruction table: the decision row whose agent the contribution reads,
@@ -453,15 +456,19 @@ def _build_layout(
 class ConferenceArrays:
     """Flattened per-conference state + the single-pass hop kernel.
 
-    Built lazily on top of a :class:`~repro.core.fastpath.
-    ConferenceProfile` (which owns the latency/bitrate matrices); one
+    Built from what it reads of a :class:`~repro.core.fastpath.
+    ConferenceProfile`: the session plans, the per-user demand vector
+    and the latency matrices.  It keeps no reference to the profile,
+    which caches it (:func:`arrays_for`), so the two form no cycle and
+    are freed together by reference counting.  One
     :class:`SessionLayout` per session is constructed on first use and
     reused for the conference's lifetime.  :meth:`warm` prebuilds every
     layout so steady-state timing excludes construction.
     """
 
     def __init__(self, profile):
-        self._profile = profile
+        self._plans = profile.plans
+        self._demand_out_mbps = profile.demand_out_mbps
         self._num_agents = int(profile.num_agents)
         self._h = profile.h
         self._d = profile.d
@@ -480,18 +487,14 @@ class ConferenceArrays:
         #: only internal intermediates live here.
         self._scratch: dict[tuple, np.ndarray] = {}
 
-    @property
-    def profile(self):
-        return self._profile
-
     def layout(self, sid: int) -> SessionLayout:
         layout = self._layouts.get(sid)
         if layout is None:
             layout = _build_layout(
-                self._profile.plan(sid),
+                self._plans[sid],
                 self._num_agents,
                 self._num_pairs,
-                self._profile.demand_out_mbps,
+                self._demand_out_mbps,
             )
             self._layouts[sid] = layout
         return layout
@@ -726,7 +729,7 @@ class PhiArray:
 
 def arrays_for(profile) -> ConferenceArrays:
     """The conference's :class:`ConferenceArrays`, cached on the profile
-    (same lifetime, no global registry)."""
+    (same lifetime, no global registry, no reference back)."""
     arrays = getattr(profile, "_conference_arrays", None)
     if arrays is None:
         arrays = ConferenceArrays(profile)

@@ -17,6 +17,11 @@ assignment at a time:
   per-user worst incoming delay, their mean ``F(d_s)`` and the longest
   flow.
 
+The profile keeps no reference to its conference: it builds its plans
+from the constructor's argument.  A conference and its caches (profile,
+then :func:`~repro.core.arrays.arrays_for`'s arrays) thus form a tree,
+which reference counting frees as soon as the conference is dropped.
+
 The solvers score whole move sets with :mod:`repro.core.arrays`, which
 flattens the session plans built here and is pinned bit for bit to these
 two methods; :mod:`repro.core.delay` evaluates the flattened
@@ -109,10 +114,13 @@ class FlowTable:
 
 
 class ConferenceProfile:
-    """Cached static structure + fast evaluation kernels."""
+    """Cached static structure + fast evaluation kernels.
+
+    Holds only arrays and plans derived from the conference, never the
+    conference itself (see the module docstring).
+    """
 
     def __init__(self, conference: Conference):
-        self._conference = conference
         self.num_agents = conference.num_agents
         topo = conference.topology
         self.h = np.asarray(topo.agent_user_ms)
@@ -140,17 +148,19 @@ class ConferenceProfile:
                     upstream, target
                 )
 
-        self._plans: list[_SessionPlan] = [
-            self._build_session_plan(sid) for sid in range(conference.num_sessions)
-        ]
+        self.plans: tuple[_SessionPlan, ...] = tuple(
+            self._build_session_plan(conference, sid)
+            for sid in range(conference.num_sessions)
+        )
         self._flow_table: FlowTable | None = None
 
     # ------------------------------------------------------------------ #
     # Static structure                                                   #
     # ------------------------------------------------------------------ #
 
-    def _build_session_plan(self, sid: int) -> _SessionPlan:
-        conference = self._conference
+    def _build_session_plan(
+        self, conference: Conference, sid: int
+    ) -> _SessionPlan:
         session = conference.session(sid)
         pair_of_flow = {
             conference.transcode_pairs[i]: i
@@ -197,7 +207,7 @@ class ConferenceProfile:
         )
 
     def plan(self, sid: int) -> _SessionPlan:
-        return self._plans[sid]
+        return self.plans[sid]
 
     @property
     def flow_table(self) -> FlowTable:
@@ -208,7 +218,7 @@ class ConferenceProfile:
             transcoded: list[tuple[int, int, int, int]] = []
             users: list[int] = []
             counts: list[int] = []
-            for plan in self._plans:
+            for plan in self.plans:
                 for source, destination, pair_index in plan.flows:
                     if pair_index < 0:
                         direct.append((plan.sid, source, destination))
@@ -269,7 +279,7 @@ class ConferenceProfile:
         users plus ``inter_out`` (constraint (6)) and ``transcodes`` =
         ``y_ls`` (constraint (7)).
         """
-        plan = self._plans[sid]
+        plan = self.plans[sid]
         num_agents = self.num_agents
         inter_in = np.zeros(num_agents)
         inter_out = np.zeros(num_agents)
@@ -325,7 +335,7 @@ class ConferenceProfile:
         ``(h + h) + ((d + d) + sigma)`` — the kernel's order, which
         :mod:`repro.core.arrays` reproduces bit for bit.
         """
-        plan = self._plans[sid]
+        plan = self.plans[sid]
         h = self.h
         d = self.d
         worst: dict[int, float] = {u: 0.0 for u in plan.users}

@@ -1,31 +1,34 @@
-"""Registry of all experiments, keyed by the paper's artifact ids."""
+"""Registry of all experiments, keyed by the paper's artifact ids.
+
+The registry is data: each entry names its runner as a
+``"module:function"`` target and imports it only when it runs, so
+listing experiments or validating a fleet spec's ``artifact`` loads no
+runner (and not scipy, which fig3's theory needs).
+"""
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ExperimentError
-from repro.experiments.fig2_motivating import run_fig2
-from repro.experiments.fig3_theory import run_fig3
-from repro.experiments.fig4_convergence import run_fig4
-from repro.experiments.fig5_dynamics import run_fig5
-from repro.experiments.fig6_agrank_init import run_fig6
-from repro.experiments.fig7_sessions import run_fig7
-from repro.experiments.fig8_delay_boxplot import run_fig8
-from repro.experiments.fig9_success_rate import run_fig9
-from repro.experiments.fig10_nngbr import run_fig10
-from repro.experiments.noise_robustness import run_noise_robustness
-from repro.experiments.table2_alpha import run_table2
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment: its runner and a one-line description."""
+    """A registered experiment: its runner's ``"module:function"``
+    target and a one-line description."""
 
     experiment_id: str
     description: str
-    runner: Callable[..., Any]
+    target: str
+
+    @property
+    def runner(self) -> Callable[..., Any]:
+        """The runner function, imported on first access."""
+        module, function = self.target.split(":")
+        return getattr(importlib.import_module(module), function)
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -34,57 +37,57 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "fig2",
             "Motivating example: nearest vs session-aware assignment of user 4",
-            run_fig2,
+            "repro.experiments.fig2_motivating:run_fig2",
         ),
         ExperimentSpec(
             "fig3",
             "Toy chain: 8 states, stationary vs Gibbs, Eqs. (10)/(12)/(13)",
-            run_fig3,
+            "repro.experiments.fig3_theory:run_fig3",
         ),
         ExperimentSpec(
             "fig4",
             "Traffic/delay evolution of Alg. 1, beta in {200, 400}, Nrst init",
-            run_fig4,
+            "repro.experiments.fig4_convergence:run_fig4",
         ),
         ExperimentSpec(
             "fig5",
             "Alg. 1 under session arrivals (t=40 s) and departures (t=80 s)",
-            run_fig5,
+            "repro.experiments.fig5_dynamics:run_fig5",
         ),
         ExperimentSpec(
             "fig6",
             "Alg. 1 bootstrapped by AgRank(n_ngbr=2), 100 s",
-            run_fig6,
+            "repro.experiments.fig6_agrank_init:run_fig6",
         ),
         ExperimentSpec(
             "fig7",
             "Per-session case study: 3 sessions (5/4/3 users)",
-            run_fig7,
+            "repro.experiments.fig7_sessions:run_fig7",
         ),
         ExperimentSpec(
             "table2",
             "Impact of alpha: Internet-scale sweep, Nrst/AgRank x 3 mixes",
-            run_table2,
+            "repro.experiments.table2_alpha:run_table2",
         ),
         ExperimentSpec(
             "fig8",
             "Delay box plots across the alpha sweep",
-            run_fig8,
+            "repro.experiments.fig8_delay_boxplot:run_fig8",
         ),
         ExperimentSpec(
             "fig9",
             "Bootstrap success rate vs bandwidth/transcoding capacity",
-            run_fig9,
+            "repro.experiments.fig9_success_rate:run_fig9",
         ),
         ExperimentSpec(
             "fig10",
             "AgRank initial assignment vs n_ngbr",
-            run_fig10,
+            "repro.experiments.fig10_nngbr:run_fig10",
         ),
         ExperimentSpec(
             "noise",
             "A7: Alg. 1 robustness to noisy objective measurements (Sec. IV-A.4)",
-            run_noise_robustness,
+            "repro.experiments.noise_robustness:run_noise_robustness",
         ),
     )
 }

@@ -1,10 +1,16 @@
 """Stdlib HTTP front door for the placement service.
 
-No web framework (the repo's only runtime deps are numpy + PyYAML): a
+No web framework, only the standard library: a
 ``ThreadingHTTPServer`` dispatches JSON bodies into
 :meth:`~repro.service.service.PlacementService.request`, which owns all
 locking — concurrent requests serialize on the service's decision lock,
 so HTTP adds transport, not semantics.
+
+The handler speaks HTTP/1.1, so a client may keep its connection open
+across requests.  It sets ``TCP_NODELAY``: a reply goes out as two
+writes (headers, then body), and with Nagle's algorithm on the body
+would wait for the client's delayed ACK of the headers, ~40 ms per
+request on a kept-alive connection.
 
 Routes::
 
@@ -40,6 +46,8 @@ _OP_ROUTES = {f"/v1/{op}": op for op in SERVICE_OPS}
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection (see the module docstring).
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:  # noqa: A003
         _LOG.debug("%s %s", self.address_string(), fmt % args)

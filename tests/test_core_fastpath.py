@@ -10,9 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.fastpath import ConferenceProfile, profile_for
 from repro.core.nearest import nearest_assignment
+from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
+from repro.core.search import SearchContext
+from repro.workloads.prototype import prototype_conference
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
 from tests.conftest import build_pair_conference
 from tests.flow_oracle import (
@@ -120,6 +124,27 @@ class TestProfileCache:
         del conf
         gc.collect()
         assert profile() is None
+
+    def test_reference_counting_frees_the_conference_tree(self):
+        """Conference -> profile -> arrays is a tree, not a cycle: with
+        the collector off, ``del`` alone frees all three, also after a
+        search context has evaluated a batch on them."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            conf = prototype_conference(seed=3)
+            evaluator = ObjectiveEvaluator(
+                conf, ObjectiveWeights.normalized_for(conf)
+            )
+            context = SearchContext(evaluator, nearest_assignment(conf))
+            assert context.candidate_batch(0).evaluation.size > 0
+            profile = profile_for(conf)
+            refs = [weakref.ref(obj) for obj in (conf, profile, arrays_for(profile))]
+            del conf, evaluator, context, profile
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_sigma_table_shape(self, proto_conf):
         profile = ConferenceProfile(proto_conf)

@@ -265,7 +265,7 @@ CAPACITY_GRID = [
 POLICIES = [
     ("nearest", None),
     ("agrank", AgRankConfig(n_ngbr=2)),
-    ("agrank", AgRankConfig(n_ngbr=3, capacity_aware=False)),
+    ("agrank", AgRankConfig(n_ngbr=3)),
 ]
 
 

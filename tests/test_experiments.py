@@ -66,6 +66,14 @@ class TestRegistry:
     def test_descriptions_non_empty(self):
         assert all(spec.description for spec in EXPERIMENTS.values())
 
+    def test_every_target_resolves_to_its_runner(self):
+        for spec in EXPERIMENTS.values():
+            module, function = spec.target.split(":")
+            assert module.startswith("repro.experiments."), spec.target
+            assert callable(spec.runner), spec.target
+            assert spec.runner.__name__ == function, spec.target
+            assert spec.runner.__module__ == module, spec.target
+
 
 class TestFig2:
     def test_paper_claims(self):

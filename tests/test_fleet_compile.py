@@ -1,6 +1,8 @@
 """Tests for the fleet compiler: spec -> concrete engine objects."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -196,6 +198,77 @@ class TestExecute:
         assert canonical_results_digest(
             tmp_path / "a"
         ) == canonical_results_digest(tmp_path / "b")
+
+
+#: Units whose state must be freed by reference counting: an
+#: Internet-style scenario draw, and a prototype with trace churn and
+#: chaos faults under ``migrate``, which builds and replaces fault views.
+LIFETIME_UNITS = {
+    "scenario": {
+        "name": "lifetime-scenario",
+        "workload": {"kind": "scenario", "num_users": 40},
+        "topology": {"num_user_sites": 32},
+        "solver": {"policy": "agrank"},
+        "simulation": {"duration_s": 10, "hop_interval_mean_s": 4, "seed": 3},
+    },
+    "churn-chaos": {
+        "name": "lifetime-churn-chaos",
+        "workload": {
+            "kind": "prototype",
+            "num_sessions": 8,
+            "min_session_size": 3,
+            "max_session_size": 4,
+        },
+        "churn": {
+            "initial": 4,
+            "trace": {"kind": "poisson", "rate_per_s": 0.3, "mean_holding_s": 20},
+        },
+        "faults": {
+            "policy": "migrate",
+            "chaos": {"rate_per_s": 0.1, "mean_duration_s": 10, "severity": 0.5},
+        },
+        "simulation": {"duration_s": 60, "hop_interval_mean_s": 4, "seed": 2},
+    },
+}
+
+
+class TestUnitLifetime:
+    """A unit's conference, profile, kernel layouts and fault views form
+    no reference cycle, so they are freed as the unit returns (and a
+    fault view as it is swapped out), with the collector off."""
+
+    @pytest.mark.parametrize("unit", sorted(LIFETIME_UNITS))
+    def test_unit_leaves_no_cyclic_garbage(self, unit, monkeypatch):
+        import repro.runtime.simulation as simulation
+
+        spec = RunSpec.from_dict(LIFETIME_UNITS[unit])
+        execute_spec(spec)  # first-run imports and caches
+        views: list[weakref.ref] = []
+        alive_at_build: list[int] = []
+        apply_faults = simulation.apply_faults
+
+        def tracked(*args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in views))
+            view = apply_faults(*args, **kwargs)
+            views.append(weakref.ref(view))
+            return view
+
+        monkeypatch.setattr(simulation, "apply_faults", tracked)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            record = execute_spec(spec)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        if unit == "churn-chaos":
+            assert record["faults_injected"] > 0
+            assert len(views) > 2
+            # Only the view in use is alive when the next one is built.
+            assert max(alive_at_build) == 1
+        assert all(ref() is None for ref in views)
 
 
 class TestLibrary:

@@ -2,7 +2,10 @@
 and the public API re-exports resolve."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -137,6 +140,33 @@ class TestDeclaredDependencies:
                     if self.DISTRIBUTION_OF.get(top, top.lower()) not in declared:
                         missing.setdefault(top, str(path.relative_to(REPO_ROOT)))
         assert not missing, f"imported but not in install_requires: {missing}"
+
+
+class TestImportFootprint:
+    """A process imports only what it runs: a pool worker, the CLI and
+    the service load neither scipy nor any experiment runner.  Each
+    import runs in a fresh interpreter, since this one has both."""
+
+    @pytest.mark.parametrize(
+        "module", ["repro.fleet.backends.worker", "repro.cli", "repro.service"]
+    )
+    def test_fresh_import_loads_no_runner_or_scipy(self, module):
+        from repro.experiments.registry import EXPERIMENTS
+
+        runners = {spec.target.split(":")[0] for spec in EXPERIMENTS.values()}
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parent.parent)]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        script = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        loaded = set(json.loads(done.stdout))
+        assert "scipy" not in loaded
+        assert not loaded & runners, sorted(loaded & runners)
 
 
 class TestPublicApi:

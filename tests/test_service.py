@@ -375,6 +375,30 @@ class TestHTTPTransport:
         finally:
             server.shutdown()
 
+    def test_keep_alive_round_trips_do_not_stall(self):
+        """Replies on a kept-alive connection go out at once: with
+        Nagle's algorithm on, the body of each two-write reply waited
+        for the client's delayed ACK (~40 ms per request)."""
+        import http.client
+        import time
+
+        server = ServiceServer(make_service(), port=0).start()
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            elapsed_ms = []
+            for _ in range(50):
+                start = time.perf_counter()
+                connection.request("GET", "/metrics")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                elapsed_ms.append((time.perf_counter() - start) * 1e3)
+                assert response.status == 200
+                assert body["status"] == "ok"
+            assert max(elapsed_ms) < 20.0, elapsed_ms
+        finally:
+            connection.close()
+            server.shutdown()
+
     def test_shutdown_endpoint_stops_the_server(self):
         import time
 
