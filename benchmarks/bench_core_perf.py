@@ -1,9 +1,9 @@
 """Performance microbenchmarks of the hot paths.
 
 These are classic pytest-benchmark measurements (multiple rounds): the
-per-assignment usage and delay functions, a full HOP at Internet scale
-(hops/sec captured in the BENCH json), AgRank ranking, and the
-synthetic-latency substrate.  They guard against regressions in the code
+flow-model kernel's one-assignment pass (evaluations/sec captured in the
+BENCH json), a full HOP at Internet scale (hops/sec likewise), AgRank
+ranking, and the synthetic-latency substrate.  They guard against regressions in the code
 the experiments spend their time in; ``test_perf_arrays_hop_rate``
 records the struct-of-arrays kernel's absolute hops/sec at 10x
 huge_conference scale, a number to track over time rather than a floor.
@@ -40,9 +40,9 @@ def scenario():
 def massive_scenario():
     """10x the huge_conference library shape: 5000 users, 3840 sites.
 
-    Session plans and the struct-of-arrays layouts are prebuilt here so
-    the timed windows measure steady-state hop throughput, not one-time
-    construction.
+    The struct-of-arrays layouts are prebuilt here (the profile builds
+    the session plans) so the timed windows measure steady-state hop
+    throughput, not one-time construction.
     """
     conference = scenario_conference(
         seed=11, params=ScenarioParams(num_user_sites=3840, num_users=5000)
@@ -50,11 +50,8 @@ def massive_scenario():
     evaluator = ObjectiveEvaluator(
         conference, ObjectiveWeights.normalized_for(conference)
     )
-    profile = evaluator.profile
     sids = [session.sid for session in conference.sessions]
-    for sid in sids:
-        profile.plan(sid)
-    arrays_for(profile).warm(sids)
+    arrays_for(evaluator.profile).warm(sids)
     return conference, evaluator
 
 
@@ -67,22 +64,15 @@ def _hop_solver(evaluator, conference):
     )
 
 
-def test_perf_session_usage_kernel(benchmark, scenario):
+def test_perf_assignment_pass(benchmark, scenario):
+    """One-assignment evaluations/sec of the flow-model kernel (usage
+    and delay terms of one session), recorded without a floor."""
     conference, evaluator = scenario
-    profile = evaluator.profile
+    arrays = arrays_for(evaluator.profile)
     assignment = nearest_assignment(conference)
-    benchmark(
-        profile.session_usage, assignment.user_agent, assignment.task_agent, 0
-    )
-
-
-def test_perf_session_delay_kernel(benchmark, scenario):
-    conference, evaluator = scenario
-    profile = evaluator.profile
-    assignment = nearest_assignment(conference)
-    benchmark(
-        profile.session_delays, assignment.user_agent, assignment.task_agent, 0
-    )
+    arrays.layout(0)
+    benchmark(arrays.evaluate_assignment, assignment, 0)
+    benchmark.extra_info["evaluations_per_sec"] = 1.0 / benchmark.stats.stats.mean
 
 
 def test_perf_full_hop_internet_scale(benchmark, scenario):

@@ -4,17 +4,18 @@ Layers, bottom-up:
 
 * state — :mod:`assignment` (the decision variables ``lambda`` / ``gamma``
   as dense vectors);
-* accounting — :mod:`fastpath` (the per-conference flow model: a
-  session's usage per the paper's ``mu_klu`` formula and the objective's
-  delay terms), :mod:`delay` (the recorded end-to-end delay ``d_uv`` over
-  every flow, and constraint (8)'s input);
+* accounting — :mod:`fastpath` (the per-conference flow model's static
+  structure), :mod:`arrays` (its evaluator: a session's usage per the
+  paper's ``mu_klu`` formula and the objective's delay terms, for one
+  assignment or a whole move set), :mod:`delay` (the recorded end-to-end
+  delay ``d_uv`` over every flow, and constraint (8)'s input);
 * objective — :mod:`costs` (convex cost-function library), :mod:`objective`
   (``Phi = alpha1 F + alpha2 G + alpha3 H``);
 * constraints — :mod:`feasibility` (constraints (1)-(8)), :mod:`capacity`
   (multi-session residual ledger);
-* search — :mod:`neighborhood` (single-decision moves), :mod:`arrays`
-  (vectorized whole-move-set evaluation), :mod:`search` (shared
-  local-search context), :mod:`markov` (Alg. 1),
+* search — :mod:`neighborhood` (single-decision moves), :mod:`search`
+  (shared local-search context over :mod:`arrays`' move-set
+  evaluation), :mod:`markov` (Alg. 1),
   :mod:`agrank` (Alg. 2), :mod:`nearest` (the Nrst baseline),
   :mod:`greedy` / :mod:`annealing` / :mod:`exact` (reference solvers);
 * bootstrap — :mod:`bootstrap` (whole-conference admission, capacity

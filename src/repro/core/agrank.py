@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
 from repro.core.fastpath import profile_for
@@ -301,6 +302,7 @@ def agrank_assignment(
 
     users = list(session.user_ids)
     option_lists = [ordered_candidates[uid] for uid in users]
+    arrays = arrays_for(profile_for(conference))
 
     checks = 0
     for combo in itertools.product(*option_lists):
@@ -320,11 +322,9 @@ def agrank_assignment(
         for i, agent in placements.items():
             task_agent[i] = agent
         candidate = Assignment(user_agent, task_agent)
-        # The combo loop is NN-GBR's hot path: one profile evaluation
+        # The combo loop is NN-GBR's hot path: one kernel evaluation
         # per combo.
-        usage = profile_for(conference).session_usage(
-            candidate.user_agent, candidate.task_agent, sid
-        )
+        usage = arrays.assignment_usage(candidate, sid)
         fits = bool(
             np.all(usage.download <= res_down + 1e-9)
             and np.all(usage.upload <= res_up + 1e-9)

@@ -1,30 +1,77 @@
-"""Struct-of-arrays conference core — the candidate-evaluation kernel.
+"""Struct-of-arrays conference core — the flow-model evaluator.
 
-Alg. 1 spends essentially all of its time scoring candidates: every HOP
-evaluates the ``O(|U(s)| * L)`` single-decision neighbours of one
-session.  This module evaluates a session's *whole* move set in one
-array pass (:class:`MoveBatch` in, :class:`BatchEvaluation` out): per
-candidate traffic vectors, transcode counts, flow delays and the inputs
-of the delay-cap and capacity masks (:func:`delay_mask`,
-:func:`capacity_mask`).
+This module is the one production encoding of the paper's per-session
+traffic formula ``mu_klu`` (Sec. III-B) and of the objective's delay
+terms (Sec. III-C).  It evaluates a session two ways over the same
+instruction table:
+
+* :meth:`ConferenceArrays.evaluate_candidates` scores a session's
+  *whole* single-decision move set in one array pass (:class:`MoveBatch`
+  in, :class:`BatchEvaluation` out): per candidate traffic vectors,
+  transcode counts, flow delays and the inputs of the delay-cap and
+  capacity masks (:func:`delay_mask`, :func:`capacity_mask`).  Alg. 1
+  spends essentially all of its time here: every HOP evaluates the
+  ``O(|U(s)| * L)`` neighbours of one session.
+* :meth:`ConferenceArrays.evaluate_assignment` scores one assignment
+  (:class:`AssignmentEvaluation`) for the objective's session cost, its
+  total and the search context's metrics; its usage half,
+  :meth:`ConferenceArrays.assignment_usage`, feeds the capacity ledger,
+  the bootstrap, AgRank's combo check and ``check_assignment``'s
+  constraints (5)-(7).
+
+The traffic formula
+-------------------
+
+``mu_klu`` is the download traffic at agent ``l`` received from agent
+``k`` carrying streams that originate at user ``u``.  Its three terms:
+
+1. ``lambda_ku * nu'_lu * kappa(r^u_u)`` — ``u`` attaches to ``k`` and
+   ``l`` transcodes ``u``'s stream, so the raw upstream ships ``k ->
+   l``;
+2. ``(max_{v in P(u), theta_uv=0} lambda_lv) * lambda_ku * (1 -
+   nu'_lu) * kappa(r^u_u)`` — some destination on ``l`` wants the *raw*
+   stream and ``l`` is not already receiving it for transcoding;
+3. ``sum_{r != r^u_u} (max_{v in P(u), r^d_vu=r} lambda_lv) * (1 -
+   lambda_lu) * nu_kru * kappa(r)`` — ``k`` transcodes ``u``'s stream
+   to ``r`` and some destination on ``l`` demands ``r``.
+
+Here ``nu_lru = max_v gamma_lruv`` (agent ``l`` runs the task ``(u,
+r)`` for at least one destination) and ``nu'_lu = max_r nu_lru``.  A
+task is a distinct ``(agent, source, target rep)`` triple and occupies
+one slot of ``t_l`` however many destinations consume it (constraint
+(7)); two destinations demanding the same representation may still be
+served by tasks on different agents, and then both count.  The ``(1 -
+lambda_lu)`` factor of term 3 is a quirk of the published formula,
+implemented verbatim: transcoded traffic flowing back into the source
+user's own agent is not charged.
+
+From ``mu``: ``inter_in[l] = x_ls = sum_u sum_{k != l} mu_klu`` (the
+argument of the bandwidth cost ``g_l``), ``inter_out`` its egress
+analogue, ``download`` = attached users' upstreams plus ``inter_in``
+(constraint (5)), ``upload`` = streams to attached users plus
+``inter_out`` (constraint (6)) and ``transcodes`` = ``y_ls``
+(constraint (7)).
+
+The instruction table
+---------------------
 
 The *static* structure of every session is flattened once into
 parallel numpy index arrays (:class:`SessionLayout`), built from the
 profile's session plans.  :func:`arrays_for` caches them on the
 profile, and nothing here points back at the profile, so they are
-freed with the conference.  Every usage
-contribution of a session (a ``+= kappa`` into one per-agent slot,
-guarded by set-dedup conditions) becomes one row of a static
-instruction table: the decision row whose agent the contribution reads,
-the scalar weight, and "not-equal edges" encoding the dedup guards.
-A hop then reduces to one gather of the session's current decisions,
-one block scatter for the candidate axis, one combined gather of every
-instruction row (usage contributions, flow endpoints, dedup edges), a
-handful of whole-table comparisons for the masks, and a single
+freed with the conference.  Every term of ``mu_klu`` that a session
+can contribute (a ``+= kappa`` into one per-agent slot, guarded by the
+``max`` / ``nu`` conditions above) becomes one row of a static
+instruction table: the decision row whose agent the contribution
+reads, the scalar weight, and "not-equal edges" encoding the guards as
+set-dedup first-occurrence conditions.  An evaluation then reduces to
+one gather of the session's current decisions (plus, for a move set,
+one block scatter for the candidate axis), one combined gather of every
+instruction row (usage contributions, flow endpoints, dedup edges), one
+whole-table comparison and ``reduceat`` for the guards, and a single
 ``np.bincount`` accumulating all four usage arrays at once — no Python
-loop over streams, groups or flows, and no per-hop allocation beyond
-the output arrays.  :class:`PhiArray` is the companion piece for the
-conference-level state: per-session ``phi`` lives in one
+loop over streams, groups or flows.  :class:`PhiArray` is the companion
+piece for the conference-level state: per-session ``phi`` lives in one
 insertion-ordered float array updated in place on commit, so the global
 objective is a single sequential array reduction instead of a Python
 walk.
@@ -32,14 +79,15 @@ walk.
 Bit-for-bit contract
 --------------------
 
-Every candidate row is IEEE-754 identical to what the per-assignment
-:meth:`~repro.core.fastpath.ConferenceProfile.session_usage` and
-:meth:`~repro.core.fastpath.ConferenceProfile.session_delays` compute
-for that candidate's assignment, candidates appear in exactly the
-:func:`~repro.core.neighborhood.session_moves` order, and the masks
-match :meth:`~repro.core.capacity.CapacityLedger.fits` and the
-``dmax_ms + 1e-9`` delay cap.  A per-candidate oracle under ``tests/``
-pins all of it.  The rules that make it hold:
+Both passes are IEEE-754 identical to the per-assignment loops kept as
+the test oracle (``tests/kernel_oracle.py``: ``session_usage``, which
+adds each contribution of the formula one at a time, and
+``session_delays``, one flow loop): every candidate row equals what
+they compute for that candidate's assignment, and one assignment's
+evaluation equals what they compute for it.  Candidates appear in
+exactly the :func:`~repro.core.neighborhood.session_moves` order, and
+the masks match :meth:`~repro.core.capacity.CapacityLedger.fits` and
+the ``dmax_ms + 1e-9`` delay cap.  The rules that make it hold:
 
 * Usage accumulation uses one ``np.bincount`` over flattened
   ``(usage array, candidate, agent)`` bins.  ``bincount`` adds its
@@ -55,16 +103,17 @@ pins all of it.  The rules that make it hold:
   float64 — and cast back to int), and masked-out contributions land
   in a sink column (agent id ``L``) that is sliced away, never skewing
   real slots.
-* Flow delays keep the *same parenthesization* as ``session_delays``:
-  ``(h[a, src] + h[b, dst]) + d[a, b]`` for direct flows and ``(h[a,
-  src] + h[b, dst]) + ((d[a, m] + d[m, b]) + sigma[pair, m])`` for
-  transcoded ones.  Both kinds evaluate through one instruction block
-  by treating a direct flow as a transcoded flow via its own source
-  agent (``d[a, a] = +0.0``) with a zero sigma row, which is
-  addend-for-addend exact: ``+0.0 + x == x`` bitwise for every ``x``
-  that is not ``-0.0``.  :class:`~repro.model.topology.Topology`
-  guarantees the precondition: it stores D with an exact ``+0.0``
-  diagonal and no ``-0.0`` entries.
+* Flow delays add ``(h[a, src] + h[b, dst]) + d[a, b]`` for direct
+  flows and ``(h[a, src] + h[b, dst]) + ((d[a, m] + d[m, b]) +
+  sigma[pair, m])`` for transcoded ones (the objective's order; the
+  recorded delay of :mod:`repro.core.delay` adds the same terms left to
+  right).  Both kinds evaluate through one instruction block by
+  treating a direct flow as a transcoded flow via its own source agent
+  (``d[a, a] = +0.0``) with a zero sigma row, which is addend-for-addend
+  exact: ``+0.0 + x == x`` bitwise for every ``x`` that is not
+  ``-0.0``.  :class:`~repro.model.topology.Topology` guarantees the
+  precondition: it stores D with an exact ``+0.0`` diagonal and no
+  ``-0.0`` entries.
 * Flows are *statically ordered by destination user*, so the per-user
   worst reduces with ``np.maximum.reduceat`` over contiguous segments
   with no per-hop permutation; per-flow delays are
@@ -85,13 +134,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.fastpath import SessionUsage
 from repro.core.neighborhood import KIND_TASK, KIND_USER, Move
 from repro.errors import ModelError
 
 __all__ = [
     "MoveBatch",
     "BatchEvaluation",
+    "AssignmentEvaluation",
     "SessionLayout",
+    "MoveSetLayout",
     "ConferenceArrays",
     "PhiArray",
     "arrays_for",
@@ -156,6 +208,18 @@ class BatchEvaluation:
         return self.moves.size
 
 
+@dataclass(frozen=True)
+class AssignmentEvaluation:
+    """One session's metrics at one assignment (the one-row analogue of
+    :class:`BatchEvaluation`).  Every array is freshly allocated."""
+
+    usage: SessionUsage
+    #: ``F(d_s)`` — mean of the per-user worst incoming delays.
+    delay_cost_ms: float
+    #: Per-user worst incoming delay, in session user order.
+    user_worst_ms: np.ndarray
+
+
 def capacity_mask(
     evaluation: BatchEvaluation,
     residual_down: np.ndarray,
@@ -183,16 +247,17 @@ def delay_mask(evaluation: BatchEvaluation, dmax_ms: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SessionLayout:
-    """All static per-session structure, flattened to index arrays.
+    """A session's instruction table: all its static structure,
+    flattened to index arrays.
 
     Decision rows are ordered users-then-pairs, matching the move
     enumeration of :func:`repro.core.neighborhood.session_moves`.  The
     heart of the layout is ``all_rows``, the combined instruction table:
-    one gather ``cols[all_rows]`` yields, for every candidate at once,
-    the agent id behind every usage contribution, flow endpoint and
-    dedup edge.  Its row blocks are, in order (``S`` streams, ``P``
-    inter-agent contributions, ``G`` transcode instructions, ``F``
-    flows, ``E`` / ``TE`` dedup edges)::
+    one gather ``current[all_rows]`` (or ``cols[all_rows]`` for every
+    candidate of a move set at once) yields the agent id behind every
+    usage contribution, flow endpoint and dedup edge.  Its row blocks
+    are, in order (``S`` streams, ``P`` inter-agent contributions, ``G``
+    transcode instructions, ``F`` flows, ``E`` / ``TE`` dedup edges)::
 
         [0, S)            last-mile download (stream sources)
         [S, 2S)           last-mile upload (same rows again)
@@ -206,28 +271,22 @@ class SessionLayout:
         [.., +E), [.., +TE)   guard-edge "a" endpoints (inter, then tc)
         [.., +E), [.., +TE)   guard-edge "b" endpoints (same order)
 
-    The first ``n_u`` rows feed one ``np.bincount`` whose flattened bins
-    are ``block * C * (L + 1) + candidate * (L + 1) + agent``
-    (``usage_offsets`` pre-computes everything but the agent), with
-    ``usage_weights`` carrying the per-contribution scalars (``1.0`` for
-    the transcode-count block).  The edge blocks interleave "a" and "b"
-    halves so one whole-table comparison evaluates every guard at once:
-    the implicit ``receiver != sender`` condition is edge 0 of each
-    inter contribution's ``guard_starts`` segment, so a single
-    ``np.bitwise_or.reduceat`` yields the ``P`` inter masks followed by
-    the transcode duplicate masks (scattered via ``tc_e_rows``).
+    The first ``n_u`` rows feed one ``np.bincount`` whose flattened
+    bins are ``block * (L + 1) + agent``: ``row_offsets`` holds
+    everything but the agent and ``row_weights`` the per-contribution
+    scalars (``1.0`` for the transcode-count block).  The edge blocks
+    interleave "a" and "b" halves so one whole-table comparison
+    evaluates every guard at once: the implicit ``receiver != sender``
+    condition is edge 0 of each inter contribution's ``guard_starts``
+    segment, so a single ``np.bitwise_or.reduceat`` yields the ``P``
+    inter masks followed by the transcode duplicate masks (scattered via
+    ``tc_e_rows``).
     """
 
     sid: int
     uids: np.ndarray
     pairs: np.ndarray
     num_users: int
-    #: Static :class:`MoveBatch` columns (kind / moved-decision id).
-    kinds: np.ndarray
-    indices: np.ndarray
-    #: ``(D, 1)`` / ``(D, A)`` fancy indices scattering the move blocks.
-    block_rows: np.ndarray
-    block_cols: np.ndarray
     #: Combined instruction table (see class docstring) and the block
     #: sizes carving it into slices.
     all_rows: np.ndarray
@@ -237,8 +296,8 @@ class SessionLayout:
     num_edges: int
     num_tc_edges: int
     num_transcodes: int
-    usage_offsets: np.ndarray
-    usage_weights: np.ndarray
+    row_offsets: np.ndarray
+    row_weights: np.ndarray
     #: Guard segments over the combined edge table: the first ``P``
     #: segments are the inter contributions (edge 0 is the implicit
     #: ``receiver != sender``; the rest encode set-dedup first-occurrence
@@ -248,13 +307,36 @@ class SessionLayout:
     guard_starts: np.ndarray
     tc_e_rows: np.ndarray
     #: Flow metadata, flows sorted by destination: the users bounding
-    #: each flow (as ``(F, 1)`` columns into ``h``) and each flow's row
-    #: of the zero-padded sigma matrix (direct flows point at the zero
+    #: each flow (indices into ``h``'s user axis) and each flow's row of
+    #: the zero-padded sigma matrix (direct flows point at the zero
     #: row).
     f_src_uids: np.ndarray
     f_dst_uids: np.ndarray
     sig_rows: np.ndarray
     seg_starts: np.ndarray
+
+
+@dataclass(frozen=True)
+class MoveSetLayout:
+    """The candidate axis of a session's move set: ``C = D * (L - 1)``
+    candidates, each its base assignment with one decision moved.
+
+    Built on the session's first
+    :meth:`ConferenceArrays.evaluate_candidates`, so a session that
+    never hops never holds the ``(n_u, C)`` tables.  The move set's
+    bincount bins are ``block * C * (L + 1) + candidate * (L + 1) +
+    agent``, pre-computed but for the agent as ``usage_offsets``, with
+    ``usage_weights`` the layout's row weights repeated per candidate.
+    """
+
+    #: Static :class:`MoveBatch` columns (kind / moved-decision id).
+    kinds: np.ndarray
+    indices: np.ndarray
+    #: ``(D, 1)`` / ``(D, A)`` fancy indices scattering the move blocks.
+    block_rows: np.ndarray
+    block_cols: np.ndarray
+    usage_offsets: np.ndarray
+    usage_weights: np.ndarray
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -268,25 +350,8 @@ def _build_layout(
     users = plan.users
     pair_indices = plan.pair_indices
     num_users = len(users)
-    num_decisions = num_users + len(pair_indices)
-    alternatives = max(num_agents - 1, 0)
-    size = num_decisions * alternatives
-
     row_of_user = {uid: i for i, uid in enumerate(users)}
     row_of_pair = {p: num_users + j for j, p in enumerate(pair_indices)}
-
-    decision_kinds = np.concatenate(
-        [
-            np.full(num_users, KIND_USER, dtype=np.uint8),
-            np.full(len(pair_indices), KIND_TASK, dtype=np.uint8),
-        ]
-    )
-    decision_indices = np.concatenate(
-        [
-            np.asarray(users, dtype=np.int64),
-            np.asarray(pair_indices, dtype=np.int64),
-        ]
-    )
 
     # Instruction tables, accumulated in exact per-assignment order.
     lm_src: list[int] = []
@@ -302,61 +367,59 @@ def _build_layout(
     iv_kappa: list[float] = []
     e_a: list[int] = []
     e_b: list[int] = []
+    # Every inter contribution opens a guard segment (edge 0 is the
+    # implicit receiver != sender), so reduceat output row g IS
+    # contribution g — no scatter needed.
     e_starts: list[int] = []
-
-    def edges_for(pairs: list[tuple[int, int]]) -> None:
-        # Every inter contribution opens a guard segment (edge 0 is the
-        # implicit receiver != sender), so reduceat output row g IS
-        # contribution g — no scatter needed.
-        e_starts.append(len(e_a))
-        for row_a, row_b in pairs:
-            e_a.append(row_a)
-            e_b.append(row_b)
 
     for stream in plan.streams:
         src = row_of_user[stream.source]
+        kappa_up = float(stream.kappa_up)
         lm_src.append(src)
-        lm_kappa.append(float(stream.kappa_up))
+        lm_kappa.append(kappa_up)
         lm_demand.append(float(demand_out_mbps[stream.source]))
 
         raw_symbol_rows: list[int] = []
         for kappa, pair_list, dests in stream.transcode_groups:
+            kappa = float(kappa)
             task_rows = [row_of_pair[i] for i in pair_list]
             for ti, task_row in enumerate(task_rows):
                 tc_rows.append(task_row)
                 if ti:
+                    # Duplicate of an earlier task of the group.
                     tc_e_starts.append(len(tc_e_a))
                     tc_e_rows.append(len(tc_rows) - 1)
-                    for tj in range(ti):
-                        tc_e_a.append(task_row)
-                        tc_e_b.append(task_rows[tj])
+                    tc_e_a.extend([task_row] * ti)
+                    tc_e_b.extend(task_rows[:ti])
             dest_rows = [row_of_user[v] for v in dests]
             for dv, dest_row in enumerate(dest_rows):
                 for ti, task_row in enumerate(task_rows):
                     iv_out.append(task_row)
                     iv_in.append(dest_row)
-                    iv_kappa.append(float(kappa))
+                    iv_kappa.append(kappa)
                     # dest != task agent (implicit), dest != source
                     # agent, dest-first (vs earlier dests of the
                     # group), task-first (vs earlier tasks).
-                    edges_for(
-                        [(dest_row, task_row), (dest_row, src)]
-                        + [(dest_row, dest_rows[dvp]) for dvp in range(dv)]
-                        + [(task_row, task_rows[tip]) for tip in range(ti)],
-                    )
+                    e_starts.append(len(e_a))
+                    e_a.extend([dest_row] * (2 + dv))
+                    e_a.extend([task_row] * ti)
+                    e_b.append(task_row)
+                    e_b.append(src)
+                    e_b.extend(dest_rows[:dv])
+                    e_b.extend(task_rows[:ti])
             raw_symbol_rows.extend(task_rows)
         raw_symbol_rows.extend(row_of_user[v] for v in stream.raw_dest_users)
 
         for q, symbol_row in enumerate(raw_symbol_rows):
             iv_out.append(src)
             iv_in.append(symbol_row)
-            iv_kappa.append(float(stream.kappa_up))
+            iv_kappa.append(kappa_up)
             # symbol != source agent (implicit), then symbol-first vs
             # every earlier raw symbol of the stream.
-            edges_for(
-                [(symbol_row, src)]
-                + [(symbol_row, raw_symbol_rows[qp]) for qp in range(q)]
-            )
+            e_starts.append(len(e_a))
+            e_a.extend([symbol_row] * (1 + q))
+            e_b.append(src)
+            e_b.extend(raw_symbol_rows[:q])
 
     # Flow plan, sorted by destination user up front (per-flow values
     # are independent, and both downstream reductions are order-exact
@@ -390,7 +453,7 @@ def _build_layout(
         + iv_in
         + tc_rows
         + f_src_rows
-        + [row_of_user[f[1]] for f in flows]
+        + dest_positions.tolist()
         + f_mid_rows
         + e_a
         + tc_e_a
@@ -398,35 +461,58 @@ def _build_layout(
         + tc_e_b,
         dtype=np.int64,
     )
-    # Flattened bin index minus the agent id: usage-array block plus
-    # candidate column, both scaled by the (L + 1)-wide agent axis.
-    bins_per_block = size * (num_agents + 1)
+    # Flattened bin index minus the agent id: the usage-array block,
+    # scaled by the (L + 1)-wide agent axis.
     num_streams = len(lm_src)
     num_inter = len(iv_out)
-    block_of = np.repeat(
-        np.arange(5, dtype=np.int64),
+    row_offsets = np.repeat(
+        np.arange(5, dtype=np.int64) * (num_agents + 1),
         [num_streams, num_streams, num_inter, num_inter, len(tc_rows)],
     )
-    usage_offsets = (
-        block_of[:, None] * bins_per_block
-        + (np.arange(size, dtype=np.int64) * (num_agents + 1))[None, :]
-    )
-    usage_weights = np.repeat(
-        np.asarray(
-            lm_kappa + lm_demand + iv_kappa + iv_kappa + [1.0] * len(tc_rows),
-            dtype=np.float64,
-        ),
-        size,
+    row_weights = np.asarray(
+        lm_kappa + lm_demand + iv_kappa + iv_kappa + [1.0] * len(tc_rows),
+        dtype=np.float64,
     )
     guard_starts = e_starts + [len(e_a) + start for start in tc_e_starts]
 
     as_i64 = lambda xs: _frozen(np.asarray(xs, dtype=np.int64))
-    column = lambda xs: _frozen(np.asarray(xs, dtype=np.int64)[:, None])
     return SessionLayout(
         sid=plan.sid,
         uids=as_i64(users),
         pairs=as_i64(pair_indices),
         num_users=num_users,
+        all_rows=_frozen(all_rows),
+        num_streams=num_streams,
+        num_inter=num_inter,
+        num_flows=len(flows),
+        num_edges=len(e_a),
+        num_tc_edges=len(tc_e_a),
+        num_transcodes=len(tc_rows),
+        row_offsets=_frozen(row_offsets),
+        row_weights=_frozen(row_weights),
+        guard_starts=as_i64(guard_starts),
+        tc_e_rows=as_i64(tc_e_rows),
+        f_src_uids=as_i64([f[0] for f in flows]),
+        f_dst_uids=as_i64([f[1] for f in flows]),
+        sig_rows=as_i64(sig_rows),
+        seg_starts=_frozen(seg_starts),
+    )
+
+
+def _build_move_set(layout: SessionLayout, num_agents: int) -> MoveSetLayout:
+    num_users = layout.uids.shape[0]
+    num_pairs = layout.pairs.shape[0]
+    num_decisions = num_users + num_pairs
+    alternatives = max(num_agents - 1, 0)
+    size = num_decisions * alternatives
+    decision_kinds = np.concatenate(
+        [
+            np.full(num_users, KIND_USER, dtype=np.uint8),
+            np.full(num_pairs, KIND_TASK, dtype=np.uint8),
+        ]
+    )
+    decision_indices = np.concatenate([layout.uids, layout.pairs])
+    return MoveSetLayout(
         kinds=_frozen(np.repeat(decision_kinds, alternatives)),
         indices=_frozen(np.repeat(decision_indices, alternatives)),
         block_rows=_frozen(np.arange(num_decisions, dtype=np.int64)[:, None]),
@@ -435,21 +521,11 @@ def _build_layout(
                 num_decisions, alternatives
             )
         ),
-        all_rows=_frozen(all_rows),
-        num_streams=num_streams,
-        num_inter=num_inter,
-        num_flows=len(flows),
-        num_edges=len(e_a),
-        num_tc_edges=len(tc_e_a),
-        num_transcodes=len(tc_rows),
-        usage_offsets=_frozen(usage_offsets),
-        usage_weights=_frozen(usage_weights),
-        guard_starts=as_i64(guard_starts),
-        tc_e_rows=as_i64(tc_e_rows),
-        f_src_uids=column([f[0] for f in flows]),
-        f_dst_uids=column([f[1] for f in flows]),
-        sig_rows=column(sig_rows),
-        seg_starts=_frozen(seg_starts),
+        usage_offsets=_frozen(
+            layout.row_offsets[:, None] * size
+            + (np.arange(size, dtype=np.int64) * (num_agents + 1))[None, :]
+        ),
+        usage_weights=_frozen(np.repeat(layout.row_weights, size)),
     )
 
 
@@ -461,9 +537,10 @@ class ConferenceArrays:
     and the latency matrices.  It keeps no reference to the profile,
     which caches it (:func:`arrays_for`), so the two form no cycle and
     are freed together by reference counting.  One
-    :class:`SessionLayout` per session is constructed on first use and
-    reused for the conference's lifetime.  :meth:`warm` prebuilds every
-    layout so steady-state timing excludes construction.
+    :class:`SessionLayout` per session is constructed on the session's
+    first evaluation, and its :class:`MoveSetLayout` on its first move
+    set; both are reused for the conference's lifetime.  :meth:`warm`
+    prebuilds them so steady-state timing excludes construction.
     """
 
     def __init__(self, profile):
@@ -482,9 +559,10 @@ class ConferenceArrays:
         alternatives = max(self._num_agents - 1, 0)
         self._alt = np.arange(alternatives, dtype=np.int64)[None, :]
         self._layouts: dict[int, SessionLayout] = {}
+        self._move_sets: dict[int, MoveSetLayout] = {}
         #: Reusable per-shape scratch buffers.  Everything handed out in
-        #: a :class:`BatchEvaluation` is freshly allocated per call;
-        #: only internal intermediates live here.
+        #: an evaluation or a :class:`SessionUsage` is freshly allocated
+        #: per call; only internal intermediates live here.
         self._scratch: dict[tuple, np.ndarray] = {}
 
     def layout(self, sid: int) -> SessionLayout:
@@ -499,10 +577,18 @@ class ConferenceArrays:
             self._layouts[sid] = layout
         return layout
 
+    def move_set(self, sid: int) -> MoveSetLayout:
+        move_set = self._move_sets.get(sid)
+        if move_set is None:
+            move_set = _build_move_set(self.layout(sid), self._num_agents)
+            self._move_sets[sid] = move_set
+        return move_set
+
     def warm(self, sids) -> None:
-        """Prebuild the layouts of ``sids`` (steady-state preparation)."""
+        """Prebuild the layouts and move sets of ``sids`` (steady-state
+        preparation)."""
         for sid in sids:
-            self.layout(sid)
+            self.move_set(sid)
 
     def _buffer(
         self, tag: str, shape: tuple, dtype=np.int64
@@ -522,29 +608,23 @@ class ConferenceArrays:
         """Evaluate every single-decision neighbour of session ``sid``
         at ``assignment`` in one pass over the flattened layout.
 
-        Row ``i`` is bit-for-bit what ``session_usage`` /
-        ``session_delays`` give for the ``i``-th move's assignment.
+        Row ``i`` is bit-for-bit what :meth:`evaluate_assignment` gives
+        for the ``i``-th move's assignment.
         """
         layout = self.layout(sid)
         num_agents = self._num_agents
-        num_uids = layout.uids.shape[0]
-        current = self._buffer(
-            "cur", (num_uids + layout.pairs.shape[0],)
-        )
-        np.take(assignment.user_agent, layout.uids, out=current[:num_uids])
-        np.take(assignment.task_agent, layout.pairs, out=current[num_uids:])
-        if current.size and int(current.min()) < 0:
-            raise ModelError(f"session {sid} has unassigned decisions")
+        current = self._decisions(assignment, layout, sid)
 
         alternatives = num_agents - 1
-        size = layout.kinds.shape[0]
-        if alternatives <= 0 or size == 0:
-            return self._empty_evaluation(sid, layout)
+        if alternatives <= 0:
+            return self._empty_evaluation(sid)
+        move_set = self.move_set(sid)
+        size = move_set.kinds.shape[0]
         new_agents = self._alt + (self._alt >= current[:, None])
         moves = MoveBatch(
             sid=sid,
-            kinds=layout.kinds,
-            indices=layout.indices,
+            kinds=move_set.kinds,
+            indices=move_set.indices,
             old_agents=np.repeat(current, alternatives),
             new_agents=new_agents.reshape(-1),
         )
@@ -553,23 +633,131 @@ class ConferenceArrays:
         # — the base assignment everywhere except each move's own block.
         cols = self._buffer("cols", (current.shape[0], size))
         cols[:] = current[:, None]
-        cols[layout.block_rows, layout.block_cols] = new_agents
+        cols[move_set.block_rows, move_set.block_cols] = new_agents
 
         # One gather resolves every instruction row, flow endpoint and
         # dedup edge.
         values = self._buffer("vals", (layout.all_rows.shape[0], size))
         np.take(cols, layout.all_rows, axis=0, out=values)
+        n_usage = self._apply_guards(layout, values)
+
+        # All four usage arrays plus the transcode counts in one
+        # input-ordered bincount over five disjoint bin blocks.
+        bins_per_block = size * (num_agents + 1)
+        bins = self._buffer("bins", (n_usage, size))
+        np.add(values[:n_usage], move_set.usage_offsets, out=bins)
+        flat = np.bincount(
+            bins.ravel(),
+            weights=move_set.usage_weights,
+            minlength=5 * bins_per_block,
+        ).reshape(5, size, num_agents + 1)
+        lastmile_down, lastmile_up, inter_out, inter_in, tc_counts = flat
+        inter_out = inter_out[:, :num_agents]
+        inter_in = inter_in[:, :num_agents]
+        # Counts rode along as 1.0 weights — small integers are exact in
+        # float64 — and cast back losslessly.
+        transcodes = tc_counts[:, :num_agents].astype(np.int64)
+
+        # The segments partition the flows, so the longest flow is the
+        # largest per-user worst.
+        worst = self._user_worst(layout, values, n_usage)
+        max_flow = worst.max(axis=0)
+        np.add.accumulate(worst, axis=0, out=worst)
+        return BatchEvaluation(
+            moves=moves,
+            inter_in=inter_in,
+            inter_out=inter_out,
+            download=lastmile_down[:, :num_agents] + inter_in,
+            upload=lastmile_up[:, :num_agents] + inter_out,
+            transcodes=transcodes,
+            delay_cost_ms=worst[layout.num_users - 1] / layout.num_users,
+            max_flow_ms=max_flow,
+        )
+
+    def evaluate_assignment(self, assignment, sid: int) -> AssignmentEvaluation:
+        """Evaluate session ``sid`` at ``assignment`` itself: the same
+        instruction table, guards, ``bincount`` and delay order as
+        :meth:`evaluate_candidates`, run over one decision vector.
+
+        Everything returned is freshly allocated — the capacity ledger
+        keeps the usage arrays.
+        """
+        layout = self.layout(sid)
+        values = self._decisions(assignment, layout, sid)[layout.all_rows]
+        n_usage = self._apply_guards(layout, values)
+        worst = self._user_worst(layout, values, n_usage)
+        return AssignmentEvaluation(
+            usage=self._usage(layout, values, n_usage),
+            delay_cost_ms=float(np.add.accumulate(worst)[-1] / layout.num_users),
+            user_worst_ms=worst,
+        )
+
+    def assignment_usage(self, assignment, sid: int) -> SessionUsage:
+        """The usage half of :meth:`evaluate_assignment`, for callers
+        that price capacity only (the ledger feed, AgRank's combo check,
+        constraints (5)-(7)): the delay half is about a third of the
+        pass."""
+        layout = self.layout(sid)
+        values = self._decisions(assignment, layout, sid)[layout.all_rows]
+        return self._usage(layout, values, self._apply_guards(layout, values))
+
+    def _usage(
+        self, layout: SessionLayout, values: np.ndarray, n_usage: int
+    ) -> SessionUsage:
+        """One assignment's usage from its guarded value table: all four
+        usage arrays plus the transcode counts in one bincount."""
+        num_agents = self._num_agents
+        flat = np.bincount(
+            values[:n_usage] + layout.row_offsets,
+            weights=layout.row_weights,
+            minlength=5 * (num_agents + 1),
+        ).reshape(5, num_agents + 1)[:, :num_agents]
+        # Rows: last-mile down, last-mile up, inter out, inter in, counts.
+        download, upload = flat[:2] + flat[3:1:-1]
+        return SessionUsage(
+            sid=layout.sid,
+            inter_in=flat[3],
+            inter_out=flat[2],
+            download=download,
+            upload=upload,
+            transcodes=flat[4].astype(np.int64),
+        )
+
+    def _decisions(self, assignment, layout: SessionLayout, sid: int) -> np.ndarray:
+        """The session's decisions at ``assignment`` (users, then pairs).
+
+        An unassigned decision, or one naming no agent, is a
+        :class:`ModelError`: either would land in another decision's
+        bins instead of failing.
+        """
+        current = np.concatenate(
+            (
+                assignment.user_agent[layout.uids],
+                assignment.task_agent[layout.pairs],
+            )
+        )
+        if current.min() < 0:
+            raise ModelError(f"session {sid} has unassigned decisions")
+        if current.max() >= self._num_agents:
+            raise ModelError(
+                f"session {sid} has decisions beyond agent {self._num_agents - 1}"
+            )
+        return current
+
+    def _apply_guards(self, layout: SessionLayout, values: np.ndarray) -> int:
+        """Redirect every contribution whose guard fails to the sink
+        column (agent id ``L``), in place on a ``(R,)`` or ``(R, C)``
+        value table; returns the number of usage rows."""
+        num_agents = self._num_agents
         num_inter = layout.num_inter
-        num_tc = layout.num_transcodes
         n_lastmile = 2 * layout.num_streams
-        n_usage = n_lastmile + 2 * num_inter + num_tc
+        n_usage = n_lastmile + 2 * num_inter + layout.num_transcodes
         edges_at = n_usage + 3 * layout.num_flows
 
         # One whole-table comparison + one reduceat evaluates every
         # guard: the first ``num_inter`` segments are the inter-agent
         # dedup masks (edge 0 is the implicit receiver != sender), the
-        # rest are transcode duplicate masks.  Failing contributions are
-        # redirected to the sink column (agent id L).
+        # rest are transcode duplicate masks.
         num_guard = layout.num_edges + layout.num_tc_edges
         if num_guard:
             fail = (
@@ -580,91 +768,56 @@ class ConferenceArrays:
                 fail, layout.guard_starts, axis=0
             )
             if num_inter:
-                senders = values[n_lastmile : n_lastmile + num_inter]
-                receivers = values[
-                    n_lastmile + num_inter : n_lastmile + 2 * num_inter
-                ]
-                mask = guard[:num_inter]
-                np.copyto(senders, num_agents, where=mask)
-                np.copyto(receivers, num_agents, where=mask)
+                # Senders and receivers are adjacent row blocks, so one
+                # masked write through a (2, P, ...) view covers both.
+                inter = values[n_lastmile : n_lastmile + 2 * num_inter]
+                np.copyto(
+                    inter.reshape((2, num_inter) + values.shape[1:]),
+                    num_agents,
+                    where=guard[:num_inter],
+                )
             if guard.shape[0] > num_inter:
                 task_agents = values[n_lastmile + 2 * num_inter : n_usage]
                 duplicate = guard[num_inter:]
                 task_agents[layout.tc_e_rows] = np.where(
                     duplicate, num_agents, task_agents[layout.tc_e_rows]
                 )
+        return n_usage
 
-        # All four usage arrays plus the transcode counts in one
-        # input-ordered bincount over five disjoint bin blocks.
-        bins_per_block = size * (num_agents + 1)
-        bins = self._buffer("bins", (n_usage, size))
-        np.add(values[:n_usage], layout.usage_offsets, out=bins)
-        flat = np.bincount(
-            bins.ravel(),
-            weights=layout.usage_weights,
-            minlength=5 * bins_per_block,
-        ).reshape(5, size, num_agents + 1)
-        lastmile_down, lastmile_up, inter_out, inter_in, tc_counts = flat
-        inter_out = inter_out[:, :num_agents]
-        inter_in = inter_in[:, :num_agents]
-        # Counts rode along as 1.0 weights — small integers are exact in
-        # float64 — and cast back losslessly.
-        transcodes = tc_counts[:, :num_agents].astype(np.int64)
-
-        delay_cost, max_flow = self._flow_delays(layout, values, n_usage, size)
-        return BatchEvaluation(
-            moves=moves,
-            inter_in=inter_in,
-            inter_out=inter_out,
-            download=lastmile_down[:, :num_agents] + inter_in,
-            upload=lastmile_up[:, :num_agents] + inter_out,
-            transcodes=transcodes,
-            delay_cost_ms=delay_cost,
-            max_flow_ms=max_flow,
-        )
-
-    def _flow_delays(
-        self,
-        layout: SessionLayout,
-        values: np.ndarray,
-        flows_at: int,
-        size: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        h, d = self._h, self._d
+    def _user_worst(
+        self, layout: SessionLayout, values: np.ndarray, flows_at: int
+    ) -> np.ndarray:
+        """Per-user worst incoming delay, clamped at 0.0 (one row per
+        session user, in order), over a ``(R,)`` or ``(R, C)`` value
+        table."""
         num_flows = layout.num_flows
-        num_users = layout.num_users
-        if not num_flows or not num_users:
-            return np.zeros(size), np.zeros(size)
         a = values[flows_at : flows_at + num_flows]
         b = values[flows_at + num_flows : flows_at + 2 * num_flows]
-        delays = self._buffer(
-            "delays", (num_flows, size), dtype=np.float64
-        )
-        np.add(h[a, layout.f_src_uids], h[b, layout.f_dst_uids], out=delays)
+        m = values[flows_at + 2 * num_flows : flows_at + 3 * num_flows]
+        src, dst, sig = layout.f_src_uids, layout.f_dst_uids, layout.sig_rows
+        if values.ndim == 2:
+            src, dst, sig = src[:, None], dst[:, None], sig[:, None]
+        h, d = self._h, self._d
+        delays = self._buffer("delays", a.shape, dtype=np.float64)
+        np.add(h[a, src], h[b, dst], out=delays)
         # Direct flows hop "via" their own source agent (d[a, a] ==
         # +0.0, zero sigma row) — addend-exact.
-        m = values[flows_at + 2 * num_flows : flows_at + 3 * num_flows]
-        hops = self._buffer("hops", (num_flows, size), dtype=np.float64)
+        hops = self._buffer("hops", a.shape, dtype=np.float64)
         np.add(d[a, m], d[m, b], out=hops)
-        hops += self._sigma_pad[layout.sig_rows, m]
+        hops += self._sigma_pad[sig, m]
         delays += hops
 
         # Segment-max per destination user; exact under any reduction
-        # order, clamped at ``session_delays``' 0.0 initial value.
+        # order.  Clamping at 0.0 keeps the per-assignment loops' initial
+        # value.  ``np.add.accumulate`` over these rows — a strictly
+        # sequential left-to-right reduction — then replicates the
+        # loops' ``sum(worst.values())`` exactly (the implicit leading
+        # ``0.0 + x`` is exact); np.sum's pairwise order would not.
         worst = np.maximum.reduceat(delays, layout.seg_starts, axis=0)
         np.maximum(worst, 0.0, out=worst)
-        max_flow = np.maximum(delays.max(axis=0), 0.0)
+        return worst
 
-        # ``np.add.accumulate`` is a strictly sequential left-to-right
-        # reduction, replicating ``session_delays``' ``sum(worst.values())``
-        # exactly (the implicit leading ``0.0 + x`` is exact); np.sum's
-        # pairwise order would not.
-        np.add.accumulate(worst, axis=0, out=worst)
-        return worst[num_users - 1] / num_users, max_flow
-
-    def _empty_evaluation(
-        self, sid: int, layout: SessionLayout
-    ) -> BatchEvaluation:
+    def _empty_evaluation(self, sid: int) -> BatchEvaluation:
         num_agents = self._num_agents
         empty_i = np.empty(0, dtype=np.int64)
         moves = MoveBatch(

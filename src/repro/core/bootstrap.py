@@ -2,8 +2,9 @@
 
 Sessions are bootstrapped one at a time (the paper's sessions start
 independently); each sees the residual capacities left by those already
-admitted via a shared :class:`CapacityLedger`, fed with
-:meth:`~repro.core.fastpath.ConferenceProfile.session_usage`.  The
+admitted via a shared :class:`CapacityLedger`, fed with each placed
+session's usage from the flow-model kernel
+(:meth:`~repro.core.arrays.ConferenceArrays.assignment_usage`).  The
 verdict is capacity-only — constraints (1)-(7), the Fig. 9 notion of a
 "successfully initialized" scenario: initial assignments may exceed
 ``Dmax`` on individual flows (AgRank is not delay-aware), and Alg. 1 —
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from repro.core.agrank import AgRankConfig, agrank_assignment
+from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
 from repro.core.fastpath import profile_for
@@ -71,7 +73,7 @@ def try_bootstrap(
     sid_list = list(sids) if sids is not None else list(range(conference.num_sessions))
     assignment = Assignment.empty(conference)
     ledger = CapacityLedger(conference)
-    profile = profile_for(conference)
+    arrays = arrays_for(profile_for(conference))
 
     for sid in sid_list:
         if policy == "nearest":
@@ -88,9 +90,7 @@ def try_bootstrap(
                     failed_sid=sid,
                     reason=str(error),
                 )
-        ledger.set_session(
-            profile.session_usage(assignment.user_agent, assignment.task_agent, sid)
-        )
+        ledger.set_session(arrays.assignment_usage(assignment, sid))
 
     violations = capacity_violations(conference, *ledger.totals())
     if violations:

@@ -5,9 +5,11 @@ capacity constraints (5)-(7) couple them: they cap the *summed* usage of
 all sessions at each agent.  The ledger keeps per-session usage vectors and
 running totals so a session can test a candidate assignment against the
 residual capacity left by everyone else in O(L) — the "fetch the updated
-list of residual capacities" step of Alg. 1.  Its callers feed it
-:meth:`~repro.core.fastpath.ConferenceProfile.session_usage` (or the
-kernel's rows for the same candidate, which are pinned bit-identical).
+list of residual capacities" step of Alg. 1.  Its callers feed it the
+usage that the flow-model kernel of :mod:`repro.core.arrays` computes,
+for one assignment or as a committed candidate's row (the two are
+bit-identical); the ledger keeps those arrays, so they are never views
+of the kernel's scratch buffers.
 """
 
 from __future__ import annotations

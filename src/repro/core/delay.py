@@ -17,11 +17,11 @@ Queueing delay is ignored — the capacity constraints guarantee resources
 as arrays over the profile's :class:`~repro.core.fastpath.FlowTable`,
 adding terms left to right: ``(H + H) + D`` direct, ``(((H + H) + D) +
 D) + sigma`` transcoded.  That order drives the recorded ``delay``
-series (:func:`average_conferencing_delay`) and constraint (8)
-(:func:`repro.core.feasibility.check_assignment`).  The objective's
-delay terms come from
-:meth:`~repro.core.fastpath.ConferenceProfile.session_delays`, which
-keeps the kernel's order, so the two may differ in the last bit on
+series (:func:`average_conferencing_delay`) and every verdict on
+constraint (8): :func:`repro.core.feasibility.check_assignment` and the
+simulator's SLA check.  The objective's delay terms come from the
+flow-model kernel of :mod:`repro.core.arrays`, which adds ``(H + H) +
+((D + D) + sigma)``, so the two may differ in the last bit on
 transcoded flows.
 """
 

@@ -4,11 +4,12 @@ Constraints (1)-(4) are structural (one agent per user, one agent per
 transcoding pair) and hold by construction of :class:`Assignment` whenever
 every active entry is a valid agent id; the checker verifies that.
 Constraints (5)-(7) are the capacity constraints, evaluated on the summed
-per-session usage of
-:meth:`~repro.core.fastpath.ConferenceProfile.session_usage` by
+per-session usage of the flow-model kernel
+(:meth:`~repro.core.arrays.ConferenceArrays.assignment_usage`) by
 :func:`capacity_violations` (which the bootstrap's final verdict shares);
 constraint (8) caps every flow's end-to-end delay at ``Dmax``, checked on
-:func:`~repro.core.delay.flow_table_delays`.
+:func:`~repro.core.delay.flow_table_delays` — the pass the simulator's
+SLA check reads too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.delay import flow_table_delays
 from repro.core.fastpath import profile_for
@@ -136,12 +138,12 @@ def check_assignment(
         return report  # usage/delay formulas require a structurally valid state
 
     # (5)-(7): capacities against the summed session usage.
-    profile = profile_for(conference)
+    arrays = arrays_for(profile_for(conference))
     download = np.zeros(num_agents)
     upload = np.zeros(num_agents)
     transcodes = np.zeros(num_agents)
     for sid in sids:
-        usage = profile.session_usage(assignment.user_agent, assignment.task_agent, sid)
+        usage = arrays.assignment_usage(assignment, sid)
         download += usage.download
         upload += usage.upload
         transcodes += usage.transcodes

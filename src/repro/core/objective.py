@@ -15,6 +15,14 @@ Design notes (see DESIGN.md):
   (``Phi_{s,f}``) — that is what makes the parallel implementation
   possible — so the evaluator is session-centric and the global value is
   the sum over active sessions.
+* A session's usage and delay terms come from the flow-model kernel of
+  :mod:`repro.core.arrays`, for one assignment
+  (:meth:`~repro.core.arrays.ConferenceArrays.evaluate_assignment`) as
+  for a whole move set.  Both are assembled into ``Phi_{s,f}`` by the
+  same batch functions (:meth:`ObjectiveEvaluator.traffic_cost_batch`,
+  :meth:`~ObjectiveEvaluator.transcode_cost_batch`,
+  :meth:`~ObjectiveEvaluator.phi_batch`), one row for a single
+  assignment.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.arrays import AssignmentEvaluation, arrays_for
 from repro.core.assignment import Assignment
 from repro.core.costs import CostFunction, LinearCost, uniform_costs, validate_cost_vector
 from repro.core.fastpath import SessionUsage, profile_for
@@ -162,6 +171,7 @@ class ObjectiveEvaluator:
         validate_cost_vector(self._g, conference.num_agents)
         validate_cost_vector(self._h, conference.num_agents)
         self._profile = profile_for(conference)
+        self._arrays = arrays_for(self._profile)
         self._identity_g = all(
             isinstance(g, LinearCost) and g.rate == 1.0 for g in self._g
         )
@@ -201,30 +211,13 @@ class ObjectiveEvaluator:
     # Evaluation                                                         #
     # ------------------------------------------------------------------ #
 
-    def traffic_cost(self, inter_in: np.ndarray) -> float:
-        """``G(x_s) = sum_l g_l(x_ls)``."""
-        if self._identity_g:
-            return float(inter_in.sum())
-        return sum(
-            self._g[l](float(inter_in[l])) for l in range(self._conference.num_agents)
-        )
-
-    def transcode_cost(self, transcodes: np.ndarray) -> float:
-        """``H(y_s) = sum_l h_l(y_ls)``."""
-        if self._identity_h:
-            return float(transcodes.sum())
-        return sum(
-            self._h[l](float(transcodes[l]))
-            for l in range(self._conference.num_agents)
-        )
-
     def traffic_cost_batch(self, inter_in: np.ndarray) -> np.ndarray:
         """``G`` over a ``(C, L)`` candidate batch, one value per row.
 
         The identity case reduces along the agent axis with the same
-        pairwise routine a per-row ``inter_in.sum()`` uses, so each row
-        matches the reference :meth:`traffic_cost` bit-for-bit; general
-        cost functions fall back to the reference's scalar loop per row.
+        pairwise routine a per-row ``inter_in.sum()`` uses; general cost
+        functions sum ``g_l`` over the agents of each row, in agent
+        order.
         """
         if self._identity_g:
             return inter_in.sum(axis=1)
@@ -252,8 +245,8 @@ class ObjectiveEvaluator:
     def phi_batch(
         self, delay_cost_ms: np.ndarray, traffic: np.ndarray, transcode: np.ndarray
     ) -> np.ndarray:
-        """Vectorized ``Phi_{s,f}`` assembly, term order identical to
-        :meth:`assemble_session_cost`."""
+        """Vectorized ``Phi_{s,f}`` assembly: ``alpha1 F / scale + alpha2
+        G / scale + alpha3 H / scale``, added left to right."""
         w = self._weights
         return (
             w.alpha1 * delay_cost_ms / w.delay_scale
@@ -261,37 +254,27 @@ class ObjectiveEvaluator:
             + w.alpha3 * transcode / w.transcode_scale
         )
 
-    def assemble_session_cost(
-        self, sid: int, usage: SessionUsage, delay_cost_ms: float
-    ) -> SessionCost:
-        """Build the :class:`SessionCost` from precomputed parts (the hot
-        path of candidate evaluation — no recomputation)."""
-        traffic = self.traffic_cost(usage.inter_in)
-        transcode = self.transcode_cost(usage.transcodes)
-        w = self._weights
-        phi = (
-            w.alpha1 * delay_cost_ms / w.delay_scale
-            + w.alpha2 * traffic / w.traffic_scale
-            + w.alpha3 * transcode / w.transcode_scale
-        )
-        return SessionCost(
-            sid=sid,
-            phi=phi,
-            delay_cost_ms=delay_cost_ms,
-            traffic_cost=traffic,
-            transcode_cost=transcode,
-            usage=usage,
-        )
-
     def session_cost(self, assignment: Assignment, sid: int) -> SessionCost:
         """``Phi_{s,f}`` with its components (the HOP procedure's input)."""
-        usage = self._profile.session_usage(
-            assignment.user_agent, assignment.task_agent, sid
+        return self._assemble(self._arrays.evaluate_assignment(assignment, sid))
+
+    def _assemble(self, evaluation: AssignmentEvaluation) -> SessionCost:
+        """Build the :class:`SessionCost` of one evaluated session, with
+        the batch assembly run on one row."""
+        usage = evaluation.usage
+        traffic = self.traffic_cost_batch(usage.inter_in[None, :])
+        transcode = self.transcode_cost_batch(usage.transcodes[None, :])
+        phi = self.phi_batch(
+            np.array([evaluation.delay_cost_ms]), traffic, transcode
         )
-        delay_cost, _max_flow, _worst = self._profile.session_delays(
-            assignment.user_agent, assignment.task_agent, sid
+        return SessionCost(
+            sid=usage.sid,
+            phi=float(phi[0]),
+            delay_cost_ms=evaluation.delay_cost_ms,
+            traffic_cost=float(traffic[0]),
+            transcode_cost=float(transcode[0]),
+            usage=usage,
         )
-        return self.assemble_session_cost(sid, usage, delay_cost)
 
     def session_phi(self, assignment: Assignment, sid: int) -> float:
         """Just the scalar ``Phi_{s,f}``."""
@@ -303,19 +286,20 @@ class ObjectiveEvaluator:
         """The global objective over the active sessions (default: all)."""
         if sids is None:
             sids = range(self._conference.num_sessions)
-        sessions = [self.session_cost(assignment, sid) for sid in sids]
-        if not sessions:
+        evaluations = [
+            self._arrays.evaluate_assignment(assignment, sid) for sid in sids
+        ]
+        if not evaluations:
             raise ModelError("cannot evaluate an objective over zero sessions")
-        delays: list[float] = []
-        for cost in sessions:
-            _cost, _max_flow, worst = self._profile.session_delays(
-                assignment.user_agent, assignment.task_agent, cost.sid
-            )
-            delays.extend(worst.values())
+        sessions = [self._assemble(evaluation) for evaluation in evaluations]
+        # Every user's worst delay in ``sids`` order, summed sequentially.
+        delays = np.add.accumulate(
+            np.concatenate([e.user_worst_ms for e in evaluations])
+        )
         return TotalCost(
             phi=sum(c.phi for c in sessions),
             inter_agent_mbps=sum(c.inter_agent_mbps for c in sessions),
-            average_delay_ms=float(sum(delays) / len(delays)),
+            average_delay_ms=float(delays[-1] / delays.shape[0]),
             transcode_tasks=float(sum(c.usage.transcodes.sum() for c in sessions)),
             sessions=tuple(sessions),
         )

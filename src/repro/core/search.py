@@ -231,14 +231,13 @@ class SearchContext:
 
     def metrics(self) -> tuple[float, float]:
         """``(inter_agent_mbps, average_delay_ms)`` over active sessions."""
-        profile = self._evaluator.profile
         traffic = sum(c.inter_agent_mbps for c in self._costs.values())
-        delays: list[float] = []
-        for sid in self._active:
-            _cost, _max_flow, worst = profile.session_delays(
-                self._assignment.user_agent, self._assignment.task_agent, sid
-            )
-            delays.extend(worst.values())
+        delays = np.concatenate(
+            [
+                self._arrays.evaluate_assignment(self._assignment, sid).user_worst_ms
+                for sid in self._active
+            ]
+        )
         return traffic, float(np.mean(delays))
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,10 @@ Binds Alg. 1's jump chain to wall-clock time:
 * infrastructure faults (:mod:`repro.runtime.faults`) swap the solver
   onto a substrate view at each window boundary, recover stranded
   sessions per the schedule's policy, and feed the resilience metrics
-  (recovery time, migration churn, SLA-violation seconds).
+  (recovery time, migration churn, SLA-violation seconds).  A sample
+  violates the SLA when constraint (8) fails on the current view, judged
+  on :func:`~repro.core.delay.flow_table_delays` exactly as
+  :func:`~repro.core.feasibility.check_assignment` judges it.
 
 Session dynamics stream in open-loop: the simulator consumes a
 :class:`~repro.runtime.traces.TracePlayer` one timestamp batch at a
@@ -40,7 +43,7 @@ import numpy as np
 import repro.telemetry as tele
 from repro.core.agrank import AgRankConfig
 from repro.core.assignment import Assignment
-from repro.core.delay import average_conferencing_delay
+from repro.core.delay import average_conferencing_delay, flow_table_delays
 from repro.core.markov import MarkovConfig
 from repro.core.objective import ObjectiveEvaluator
 from repro.errors import InfeasibleError, SimulationError
@@ -422,25 +425,26 @@ class ConferencingSimulator:
     def _sample_resilience(self, active: list[int], now: float) -> None:
         """Per-sample SLA/recovery bookkeeping (fault runs only).
 
-        A sample is *violating* when any active session's worst flow
-        exceeds the delay cap on the current substrate view; violating
-        samples accumulate SLA-violation seconds, and the first clean
-        sample after a fault's start resolves that fault's recovery
-        time.  The ``stranded`` series counts sessions still touching a
-        dead site (zero at every sample under the ``migrate`` policy —
-        the property suite pins exactly that).
+        A sample is *violating* when any active session's flow exceeds
+        the delay cap on the current substrate view (constraint (8), one
+        :func:`~repro.core.delay.flow_table_delays` pass over the active
+        sessions); violating samples accumulate SLA-violation seconds,
+        and the first clean sample after a fault's start resolves that
+        fault's recovery time.  The ``stranded`` series counts sessions
+        still touching a dead site (zero at every sample under the
+        ``migrate`` policy — the property suite pins exactly that).
         """
         assert self._live is not None
         assignment = self._live.assignment
-        profile = self._evaluator.profile
-        violating = False
-        for sid in active:
-            _cost, max_flow, _worst = profile.session_delays(
-                assignment.user_agent, assignment.task_agent, sid
+        selected = np.zeros(self._conference.num_sessions, dtype=bool)
+        selected[active] = True
+        cap = self._conference.dmax_ms + 1e-9
+        violating = any(
+            bool((delays > cap).any())
+            for _sources, _destinations, delays in flow_table_delays(
+                self._conference, assignment, selected
             )
-            if max_flow > self._conference.dmax_ms + 1e-9:
-                violating = True
-                break
+        )
         if violating:
             self._sla_violation_s += self._config.sample_interval_s
         elif self._pending_recovery:

@@ -1,25 +1,27 @@
 """Per-flow oracle for the flow model: the paper's equations, flow by flow.
 
 Production evaluates each quantity once, over precomputed tables: a
-session's usage with :meth:`ConferenceProfile.session_usage`, the
-objective's delay terms with :meth:`ConferenceProfile.session_delays`,
-move sets with the :mod:`repro.core.arrays` kernel, and the recorded
-delay and constraint (8) with :func:`repro.core.delay.flow_table_delays`.
-This module computes the same quantities the slow and obvious way, so
-the tests can pin production against it:
+session's usage and the objective's delay terms with the
+:mod:`repro.core.arrays` kernel (for one assignment or a whole move
+set), and the recorded delay and constraint (8) with
+:func:`repro.core.delay.flow_table_delays`.  This module computes the
+same quantities the slow and obvious way, so the tests can pin
+production against it:
 
 * transcoding indicators ``nu`` (Sec. III-B) — :func:`active_transcodes`,
   :func:`transcode_counts`, :func:`session_transcode_map`;
 * the ``mu_klu`` traffic formula — :func:`stream_mu`,
-  :func:`compute_session_usage` (pinned ``==`` to ``session_usage``);
+  :func:`compute_session_usage` (pinned ``==`` to the kernel's
+  ``assignment_usage``);
 * an explicit per-edge router — :func:`route_session_flows`, which also
   charges the one corner the published formula leaves out (transcoded
   traffic entering the source user's own agent);
 * per-flow delays (Sec. III-C) — :func:`flow_delay` and friends, adding
   terms left to right, ``(((H + H) + D) + D) + sigma``: the order of
   :func:`~repro.core.delay.flow_table_delays`, so ``==`` holds against
-  it.  The profile and the kernel add ``(H + H) + ((D + D) + sigma)``,
-  so against them only ``approx`` holds on transcoded flows;
+  it.  The kernel (and ``tests/kernel_oracle.py``'s loops) add ``(H +
+  H) + ((D + D) + sigma)``, so against it only ``approx`` holds on
+  transcoded flows;
 * constraints (1)-(8) — :func:`check_assignment`, and the bootstrap
   algorithm as it was before it read the profile — :func:`try_bootstrap`
   and :func:`ledger_from_assignment`.

@@ -1,26 +1,34 @@
-"""Per-candidate oracle for the :mod:`repro.core.arrays` kernel.
+"""The test oracle of the :mod:`repro.core.arrays` flow-model kernel.
 
-The search layer scores a session's whole move set in one array pass.
-This module scores the same moves one at a time, the slow and obvious
-way, so the tests can pin the kernel against it bit for bit:
+The kernel evaluates a session's usage and delay terms for one
+assignment (``evaluate_assignment``) and for a whole move set
+(``evaluate_candidates``).  This module computes the same things the
+slow and obvious way, so the tests can pin both passes against it bit
+for bit:
 
-1. enumerate moves with :func:`~repro.core.neighborhood.session_moves`;
-2. apply each move and compute the session's usage and delays with
-   :meth:`ConferenceProfile.session_usage` and
-   :meth:`ConferenceProfile.session_delays`;
-3. reject the candidate when :meth:`CapacityLedger.fits` fails or its
-   longest flow exceeds ``dmax_ms + 1e-9`` (constraint (8));
-4. assemble its cost with
-   :meth:`ObjectiveEvaluator.assemble_session_cost`, then apply the
-   observation noise, if any, per feasible candidate in enumeration
-   order.
+* :func:`session_usage` adds each contribution of the paper's
+  ``mu_klu`` formula one at a time, looping over streams, transcode
+  groups and raw targets with Python sets for the formula's ``max``
+  terms;
+* :func:`session_delays` loops over flows, adding a transcoded flow's
+  terms as ``(h + h) + ((d + d) + sigma)``;
+* :func:`assemble_session_cost` builds ``Phi_{s,f}`` from scalars
+  (:func:`traffic_cost`, :func:`transcode_cost`);
+* :func:`oracle_rows` / :func:`oracle_candidates` score a move set one
+  move at a time: enumerate moves with
+  :func:`~repro.core.neighborhood.session_moves`, apply each, evaluate
+  it with the two loops, reject it when :meth:`CapacityLedger.fits`
+  fails or its longest flow exceeds ``dmax_ms + 1e-9`` (constraint
+  (8)), assemble its cost and apply the observation noise, if any, per
+  feasible candidate in enumeration order.
 
-Only tests use it.  The two profile functions are themselves checked
-against the per-flow oracle in ``tests/flow_oracle.py`` by
-``test_core_fastpath.py``: usage exactly, delays only approximately.
+Only tests use it.  The loops read nothing but the profile's session
+plans, demand vector, latency matrices and sigma table.  The per-flow
+oracle in ``tests/flow_oracle.py`` checks the kernel in turn
+(``test_core_fastpath.py``): usage exactly, delays only approximately.
 The per-flow oracle (like :mod:`repro.core.delay`) adds a transcoded
 flow's terms left to right, ``((lastmile + d[a, m]) + d[m, b]) +
-sigma``, while ``session_delays`` (and the kernel) add ``lastmile +
+sigma``, while the kernel and :func:`session_delays` add ``lastmile +
 ((d[a, m] + d[m, b]) + sigma)``, so about a quarter of delay costs and
 over a third of max-flow delays differ from it in the last bits.
 """
@@ -31,12 +39,135 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.fastpath import profile_for
+from repro.core.arrays import arrays_for
+from repro.core.fastpath import SessionUsage, profile_for
 from repro.core.neighborhood import session_moves
+from repro.core.objective import SessionCost
 from repro.core.search import Candidate
 
 #: Per-candidate usage arrays compared bit for bit.
 USAGE_FIELDS = ("inter_in", "inter_out", "download", "upload", "transcodes")
+
+
+def session_usage(profile, user_agent, task_agent, sid) -> SessionUsage:
+    """Session ``sid``'s per-agent usage per the ``mu_klu`` formula
+    (see :mod:`repro.core.arrays`), one contribution at a time."""
+    plan = profile.plans[sid]
+    num_agents = profile.num_agents
+    inter_in = np.zeros(num_agents)
+    inter_out = np.zeros(num_agents)
+    lastmile_down = np.zeros(num_agents)
+    lastmile_up = np.zeros(num_agents)
+    transcodes = np.zeros(num_agents, dtype=np.int64)
+
+    for stream in plan.streams:
+        source = stream.source
+        a = int(user_agent[source])
+        lastmile_down[a] += stream.kappa_up
+        lastmile_up[a] += profile.demand_out_mbps[source]
+
+        raw_targets: set[int] = set()
+        for kappa, pair_list, dests in stream.transcode_groups:
+            task_agents = {int(task_agent[i]) for i in pair_list}
+            raw_targets.update(task_agents)
+            for agent in task_agents:
+                transcodes[agent] += 1
+            dest_agents = {int(user_agent[v]) for v in dests}
+            for l in dest_agents:
+                if l == a:
+                    continue  # the mu formula's (1 - lambda_lu) factor
+                for k in task_agents:
+                    if k != l:
+                        inter_out[k] += kappa
+                        inter_in[l] += kappa
+        for v in stream.raw_dest_users:
+            raw_targets.add(int(user_agent[v]))
+        for l in raw_targets:
+            if l != a:
+                inter_out[a] += stream.kappa_up
+                inter_in[l] += stream.kappa_up
+
+    return SessionUsage(
+        sid=sid,
+        inter_in=inter_in,
+        inter_out=inter_out,
+        download=lastmile_down + inter_in,
+        upload=lastmile_up + inter_out,
+        transcodes=transcodes,
+    )
+
+
+def session_delays(profile, user_agent, task_agent, sid):
+    """``(F(d_s), max flow delay, per-user worst incoming delay)``.
+
+    ``F(d_s)`` is the mean of the per-user worst delays; the per-user
+    dict is in session user order.  A transcoded flow adds ``(h + h) +
+    ((d + d) + sigma)``.
+    """
+    plan = profile.plans[sid]
+    h = profile.h
+    d = profile.d
+    worst: dict[int, float] = {u: 0.0 for u in plan.users}
+    max_flow = 0.0
+    for source, destination, pair_index in plan.flows:
+        a = int(user_agent[source])
+        b = int(user_agent[destination])
+        delay = h[a, source] + h[b, destination]
+        if pair_index < 0:
+            delay += d[a, b]
+        else:
+            m = int(task_agent[pair_index])
+            delay += d[a, m] + d[m, b] + profile.sigma[pair_index, m]
+        if delay > worst[destination]:
+            worst[destination] = delay
+        if delay > max_flow:
+            max_flow = delay
+    mean = sum(worst.values()) / len(worst)
+    return mean, max_flow, worst
+
+
+def traffic_cost(evaluator, inter_in) -> float:
+    """``G(x_s) = sum_l g_l(x_ls)``, from scalars."""
+    if evaluator._identity_g:
+        return float(inter_in.sum())
+    return sum(evaluator._g[l](float(x)) for l, x in enumerate(inter_in))
+
+
+def transcode_cost(evaluator, transcodes) -> float:
+    """``H(y_s) = sum_l h_l(y_ls)``, from scalars."""
+    if evaluator._identity_h:
+        return float(transcodes.sum())
+    return sum(evaluator._h[l](float(y)) for l, y in enumerate(transcodes))
+
+
+def assemble_session_cost(evaluator, sid, usage, delay_cost_ms) -> SessionCost:
+    """``Phi_{s,f}`` of one session from its usage and ``F(d_s)``."""
+    traffic = traffic_cost(evaluator, usage.inter_in)
+    transcode = transcode_cost(evaluator, usage.transcodes)
+    w = evaluator.weights
+    phi = (
+        w.alpha1 * delay_cost_ms / w.delay_scale
+        + w.alpha2 * traffic / w.traffic_scale
+        + w.alpha3 * transcode / w.transcode_scale
+    )
+    return SessionCost(
+        sid=sid,
+        phi=phi,
+        delay_cost_ms=delay_cost_ms,
+        traffic_cost=traffic,
+        transcode_cost=transcode,
+        usage=usage,
+    )
+
+
+def oracle_session_cost(evaluator, assignment, sid) -> SessionCost:
+    """:meth:`ObjectiveEvaluator.session_cost`, computed by the oracle."""
+    profile = evaluator.profile
+    usage = session_usage(profile, assignment.user_agent, assignment.task_agent, sid)
+    delay_cost, _max_flow, _worst = session_delays(
+        profile, assignment.user_agent, assignment.task_agent, sid
+    )
+    return assemble_session_cost(evaluator, sid, usage, delay_cost)
 
 
 def oracle_rows(conference, assignment, sid):
@@ -46,9 +177,9 @@ def oracle_rows(conference, assignment, sid):
     rows = []
     for move in session_moves(conference, assignment, sid):
         candidate = move.apply(assignment)
-        usage = profile.session_usage(candidate.user_agent, candidate.task_agent, sid)
-        delay_cost, max_flow, _worst = profile.session_delays(
-            candidate.user_agent, candidate.task_agent, sid
+        usage = session_usage(profile, candidate.user_agent, candidate.task_agent, sid)
+        delay_cost, max_flow, _worst = session_delays(
+            profile, candidate.user_agent, candidate.task_agent, sid
         )
         rows.append((move, usage, delay_cost, max_flow))
     return rows
@@ -71,7 +202,7 @@ def oracle_candidates(context, sid, assignment=None, noise=None, rng=None):
         if not context.ledger.fits(usage) or max_flow > dmax_ms + 1e-9:
             results.append(None)
             continue
-        cost = evaluator.assemble_session_cost(sid, usage, delay_cost)
+        cost = assemble_session_cost(evaluator, sid, usage, delay_cost)
         if noise is not None:
             cost = dataclasses.replace(cost, phi=noise.perturb(cost.phi, rng))
         results.append(
@@ -141,3 +272,28 @@ def assert_batch_matches_oracle(context, sid, batch, tag="", noise=None, rng=Non
     assert_candidates_equal(
         [c for c in expected if c is not None], batch.materialize_all(), tag
     )
+
+
+def assert_assignment_matches_oracle(conference, assignment, sid, tag=""):
+    """:meth:`ConferenceArrays.evaluate_assignment` (and its usage half
+    :meth:`~ConferenceArrays.assignment_usage`) equal
+    :func:`session_usage` and :func:`session_delays` bit for bit."""
+    profile = profile_for(conference)
+    evaluation = arrays_for(profile).evaluate_assignment(assignment, sid)
+    usage = session_usage(profile, assignment.user_agent, assignment.task_agent, sid)
+    delay_cost, max_flow, worst = session_delays(
+        profile, assignment.user_agent, assignment.task_agent, sid
+    )
+    for field in USAGE_FIELDS:
+        expected, actual = getattr(usage, field), getattr(evaluation.usage, field)
+        assert actual.dtype == expected.dtype, f"{tag}: {field} dtype"
+        assert np.array_equal(actual, expected), f"{tag}: {field}"
+    assert evaluation.usage.sid == sid, tag
+    usage_half = arrays_for(profile).assignment_usage(assignment, sid)
+    for field in USAGE_FIELDS:
+        assert np.array_equal(
+            getattr(usage_half, field), getattr(usage, field)
+        ), f"{tag}: assignment_usage {field}"
+    assert evaluation.delay_cost_ms == delay_cost, tag
+    assert evaluation.user_worst_ms.max() == max_flow, tag
+    assert evaluation.user_worst_ms.tolist() == list(worst.values()), tag

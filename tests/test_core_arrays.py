@@ -1,12 +1,17 @@
-"""The struct-of-arrays kernel against the per-candidate oracle.
+"""The struct-of-arrays kernel against the per-assignment oracle.
 
-:mod:`repro.core.arrays` is the only candidate-evaluation path of the
-solvers, so it is pinned bit for bit against the slow one-move-at-a-time
-oracle in ``tests/kernel_oracle.py``: the move enumeration order, every
-candidate row (usage, transcodes, delays) on arbitrary assignments, the
-feasibility masks, the observed ``phi`` with capacity, alphas and noise
-varied, and a conference whose latency matrix the topology had to
-clean first.  Solver runs on compiled library
+:mod:`repro.core.arrays` is the only evaluator of the objective's flow
+model, so both of its passes are pinned bit for bit against the slow
+loops of ``tests/kernel_oracle.py``.  The move-set pass: the move
+enumeration order, every candidate row (usage, transcodes, delays) on
+arbitrary assignments, the feasibility masks, the observed ``phi`` with
+capacity, alphas and noise varied, and a conference whose latency matrix
+the topology had to clean first.  The one-assignment pass: usage and
+delay terms on random states, fault views, sessions without transcoding
+pairs, large sessions and a single-agent conference, with fresh arrays
+every call; and the objective's ``session_cost``, ``total`` and
+``SearchContext.metrics`` built on it against the oracle's scalar
+assembly.  Solver runs on compiled library
 scenarios and on scenario draws, with and without observation noise,
 check the candidate batch at every state they visit, and a Markov hop
 under a fixed rng must make the move that the oracle's candidates
@@ -17,18 +22,21 @@ the removed ``kernel`` solver field.
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.core.annealing import AnnealingConfig, simulated_annealing
 from repro.core.arrays import (
+    ConferenceArrays,
     PhiArray,
     arrays_for,
     capacity_mask,
     delay_mask,
 )
 from repro.core.assignment import Assignment
+from repro.core.costs import PowerCost
 from repro.core.fastpath import profile_for
 from repro.core.feasibility import CAPACITY_TOLERANCE
 from repro.core.greedy import greedy_descent
@@ -42,7 +50,7 @@ from repro.core.nearest import nearest_assignment
 from repro.core.neighborhood import session_moves
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
 from repro.core.search import SearchContext
-from repro.errors import SpecError
+from repro.errors import ModelError, SpecError
 from repro.fleet.compile import compile_spec
 from repro.fleet.library import load_library_spec
 from repro.fleet.orchestrator import expand_matrix
@@ -50,16 +58,21 @@ from repro.fleet.spec import RunSpec
 from repro.model.conference import Conference
 from repro.model.topology import Topology
 from repro.netsim.noise import GaussianNoise, QuantizedPerturbation
+from repro.runtime.faults import Fault, apply_faults
 from repro.workloads.prototype import prototype_conference
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
 from tests.conftest import build_pair_conference
 from tests.kernel_oracle import (
+    USAGE_FIELDS,
+    assert_assignment_matches_oracle,
     assert_batch_matches_oracle,
     assert_candidates_equal,
     assert_rows_equal,
     oracle_candidates,
     oracle_feasible,
     oracle_rows,
+    oracle_session_cost,
+    session_delays,
 )
 
 #: Randomized instances: unconstrained, capacity-tight, transcode-heavy.
@@ -113,11 +126,30 @@ ROOMY = ScenarioParams(
 )
 
 
-def make_evaluator(conference, alphas=(1.0, 1.0, 1.0)):
+#: Sessions of 8-20 users, long enough for a pairwise sum over the
+#: per-user worst delays to round differently from a sequential one.
+LARGE_SESSIONS = ScenarioParams(
+    num_user_sites=48,
+    num_users=60,
+    min_session_size=8,
+    max_session_size=20,
+)
+
+
+def make_evaluator(conference, alphas=(1.0, 1.0, 1.0), convex=False):
+    """The normalized objective; ``convex`` prices bandwidth and
+    transcoding with non-identity convex costs."""
     a1, a2, a3 = alphas
+    costs = {}
+    if convex:
+        costs = {
+            "bandwidth_costs": [PowerCost(0.5, 1.5)] * conference.num_agents,
+            "transcode_costs": [PowerCost(2.0, 2.0)] * conference.num_agents,
+        }
     return ObjectiveEvaluator(
         conference,
         ObjectiveWeights.normalized_for(conference, alpha1=a1, alpha2=a2, alpha3=a3),
+        **costs,
     )
 
 
@@ -322,6 +354,228 @@ class TestCandidates:
             make_evaluator(conference), Assignment(np.array([0, 1]), np.array([0]))
         )
         assert_batch_matches_oracle(context, 0, context.candidate_batch(0))
+
+
+class TestAssignmentPass:
+    """``evaluate_assignment`` against ``session_usage`` /
+    ``session_delays`` of the oracle, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed,params",
+        SCENARIO_GRID + [(7, SLOT_TIGHT), (13, LARGE_SESSIONS)],
+    )
+    def test_random_states_bitwise_equal(self, seed, params):
+        conference = scenario_conference(seed=seed, params=params)
+        rng = np.random.default_rng(29)
+        for trial in range(6):
+            assignment = random_assignment(conference, rng)
+            for sid in range(conference.num_sessions):
+                assert_assignment_matches_oracle(
+                    conference, assignment, sid, f"seed={seed} trial={trial} sid={sid}"
+                )
+
+    def test_large_sessions_drawn(self):
+        """The draw above has sessions long enough to tell a pairwise
+        delay mean from a sequential one."""
+        conference = scenario_conference(seed=13, params=LARGE_SESSIONS)
+        assert max(len(s.user_ids) for s in conference.sessions) >= 12
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("outage",), ("capacity",), ("latency",), ("outage", "capacity", "latency")],
+    )
+    def test_fault_views_bitwise_equal(self, kinds):
+        base = scenario_conference(
+            seed=7, params=ScenarioParams(num_user_sites=48, num_users=24)
+        )
+        faults = [
+            Fault(kind=kind, site=site, start_s=0.0, end_s=1.0, severity=0.6)
+            for site, kind in enumerate(kinds, start=1)
+        ]
+        view = apply_faults(base, faults)
+        assert view is not base
+        rng = np.random.default_rng(3)
+        for assignment in [nearest_assignment(base)] + [
+            random_assignment(base, rng) for _ in range(4)
+        ]:
+            for sid in range(view.num_sessions):
+                assert_assignment_matches_oracle(view, assignment, sid, f"{kinds} sid={sid}")
+
+    @pytest.mark.parametrize("extra_user", [None, ("720p", "720p")])
+    def test_sessions_without_pairs(self, extra_user):
+        conference = build_pair_conference(
+            "720p", "720p", "720p", "720p", extra_user=extra_user
+        )
+        assert conference.theta_sum == 0
+        for agents in itertools.product(range(2), repeat=conference.num_users):
+            assignment = Assignment(np.array(agents), np.zeros(0, dtype=np.int64))
+            assert_assignment_matches_oracle(conference, assignment, 0, str(agents))
+
+    def test_single_agent_conference(self):
+        conf = prototype_conference(
+            seed=1, num_sessions=2, regions_override=("Virginia",)
+        )
+        assert conf.num_agents == 1
+        assignment = nearest_assignment(conf)
+        for sid in range(conf.num_sessions):
+            assert_assignment_matches_oracle(conf, assignment, sid, f"sid={sid}")
+
+    def test_returned_arrays_are_fresh(self):
+        """Evaluations keep their values: nothing handed out is a view of
+        a buffer the kernel writes again."""
+        conference = scenario_conference(seed=5, params=SCENARIO_GRID[1][1])
+        arrays = arrays_for(profile_for(conference))
+        rng = np.random.default_rng(17)
+        assignment = random_assignment(conference, rng)
+        first = arrays.evaluate_assignment(assignment, 0)
+        usage = arrays.assignment_usage(assignment, 0)
+        kept = {field: getattr(first.usage, field).copy() for field in USAGE_FIELDS}
+        worst = first.user_worst_ms.copy()
+        for _ in range(3):
+            other = random_assignment(conference, rng)
+            arrays.evaluate_assignment(other, 0)
+            arrays.assignment_usage(other, 0)
+            arrays.evaluate_candidates(other, 0)
+        for field in USAGE_FIELDS:
+            assert np.array_equal(getattr(first.usage, field), kept[field]), field
+            assert np.array_equal(getattr(usage, field), kept[field]), field
+        assert np.array_equal(first.user_worst_ms, worst)
+
+    @pytest.mark.parametrize("agent", [-1, "L"])
+    def test_rejects_decisions_naming_no_agent(self, agent):
+        """An unassigned (-1) or out-of-range decision raises instead of
+        charging another slot; the usage half has no delay lookup that
+        would fail on its own."""
+        conference = scenario_conference(seed=3, params=SCENARIO_GRID[0][1])
+        assignment = nearest_assignment(conference)
+        agent = conference.num_agents if agent == "L" else agent
+        arrays = arrays_for(profile_for(conference))
+        for broken in (
+            assignment.with_user(conference.session(0).user_ids[-1], agent),
+            assignment.with_task(conference.session_pair_indices(0)[0], agent),
+        ):
+            for evaluate in (
+                arrays.evaluate_assignment,
+                arrays.assignment_usage,
+                arrays.evaluate_candidates,
+            ):
+                with pytest.raises(ModelError, match="session 0"):
+                    evaluate(broken, 0)
+
+    def test_hop_batches_alone_run_the_move_set_pass(self, monkeypatch):
+        """Scoring one assignment never goes through the move-set pass:
+        ``evaluate_candidates`` runs exactly once per candidate batch."""
+        calls = {"batches": 0, "evaluations": 0}
+        batch = SearchContext.candidate_batch
+        evaluate = ConferenceArrays.evaluate_candidates
+
+        def counting_batch(context, sid):
+            calls["batches"] += 1
+            return batch(context, sid)
+
+        def counting_evaluate(arrays, assignment, sid):
+            calls["evaluations"] += 1
+            return evaluate(arrays, assignment, sid)
+
+        monkeypatch.setattr(SearchContext, "candidate_batch", counting_batch)
+        monkeypatch.setattr(
+            ConferenceArrays, "evaluate_candidates", counting_evaluate
+        )
+        compiled = compiled_library("prototype_smoke")
+        solver = MarkovAssignmentSolver(
+            compiled.evaluator,
+            nearest_assignment(compiled.conference),
+            config=MarkovConfig(beta=compiled.config.markov.beta),
+            rng=np.random.default_rng(5),
+        )
+        solver.run(40)
+        assert calls["batches"] == 40
+        assert calls["evaluations"] == calls["batches"]
+
+
+class TestObjectiveAssembly:
+    """``session_cost``, ``total`` and ``SearchContext.metrics`` against
+    the oracle's scalar assembly, bit for bit."""
+
+    @staticmethod
+    def _assert_costs_equal(expected, actual, tag):
+        assert actual.sid == expected.sid, tag
+        assert actual.phi == expected.phi, tag
+        assert actual.delay_cost_ms == expected.delay_cost_ms, tag
+        assert actual.traffic_cost == expected.traffic_cost, tag
+        assert actual.transcode_cost == expected.transcode_cost, tag
+        for field in USAGE_FIELDS:
+            assert np.array_equal(
+                getattr(actual.usage, field), getattr(expected.usage, field)
+            ), f"{tag}: {field}"
+
+    @pytest.mark.parametrize(
+        "seed,params", [SCENARIO_GRID[1], SCENARIO_GRID[2], (13, LARGE_SESSIONS)]
+    )
+    @pytest.mark.parametrize("alphas", ALPHAS)
+    @pytest.mark.parametrize("convex", [False, True])
+    def test_session_cost_and_total(self, seed, params, alphas, convex):
+        conference = scenario_conference(seed=seed, params=params)
+        evaluator = make_evaluator(conference, alphas, convex)
+        rng = np.random.default_rng(41)
+        for trial in range(3):
+            assignment = random_assignment(conference, rng)
+            costs = [
+                oracle_session_cost(evaluator, assignment, sid)
+                for sid in range(conference.num_sessions)
+            ]
+            for cost in costs:
+                self._assert_costs_equal(
+                    cost,
+                    evaluator.session_cost(assignment, cost.sid),
+                    f"trial={trial} sid={cost.sid}",
+                )
+            sids = list(range(conference.num_sessions))[::-2]
+            total = evaluator.total(assignment, sids)
+            chosen = [costs[sid] for sid in sids]
+            delays = []
+            for sid in sids:
+                delays.extend(
+                    session_delays(
+                        evaluator.profile,
+                        assignment.user_agent,
+                        assignment.task_agent,
+                        sid,
+                    )[2].values()
+                )
+            assert total.phi == sum(c.phi for c in chosen)
+            assert total.inter_agent_mbps == sum(c.inter_agent_mbps for c in chosen)
+            assert total.average_delay_ms == float(sum(delays) / len(delays))
+            assert total.transcode_tasks == float(
+                sum(c.usage.transcodes.sum() for c in chosen)
+            )
+            for expected, actual in zip(chosen, total.sessions):
+                self._assert_costs_equal(expected, actual, f"trial={trial} total")
+
+    @pytest.mark.parametrize("seed,params", [SCENARIO_GRID[1], (13, LARGE_SESSIONS)])
+    def test_search_context_metrics(self, seed, params):
+        conference = scenario_conference(seed=seed, params=params)
+        evaluator = make_evaluator(conference)
+        active = list(range(conference.num_sessions))[1::2]
+        context = SearchContext(evaluator, nearest_assignment(conference), active)
+        for sid in active:
+            context.greedy_refine(sid, 2)
+        assignment = context.assignment
+        delays = []
+        for sid in context.active_sessions:
+            delays.extend(
+                session_delays(
+                    evaluator.profile,
+                    assignment.user_agent,
+                    assignment.task_agent,
+                    sid,
+                )[2].values()
+            )
+        traffic = sum(
+            oracle_session_cost(evaluator, assignment, sid).inter_agent_mbps
+            for sid in context.active_sessions
+        )
+        assert context.metrics() == (traffic, float(np.mean(delays)))
 
 
 class TestVisitedStates:

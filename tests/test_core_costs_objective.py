@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
+from repro.core.bootstrap import bootstrap_assignment
 from repro.core.costs import (
     LinearCost,
     PiecewiseLinearCost,
@@ -13,6 +14,7 @@ from repro.core.costs import (
 )
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
 from repro.errors import ModelError
+from repro.workloads.prototype import prototype_conference
 from tests.conftest import build_pair_conference
 
 
@@ -144,3 +146,15 @@ class TestObjectiveEvaluator:
         assignment = Assignment(np.array([0, 1]), np.array([0]))
         with pytest.raises(ModelError):
             evaluator.total(assignment, sids=[])
+
+    def test_session_cost_rejects_unassigned_decision(self):
+        """An unassigned user is an error, not a charge to agent L - 1
+        (index -1)."""
+        conf = prototype_conference(seed=1)
+        assignment = bootstrap_assignment(conf, "nearest")
+        broken = assignment.with_user(conf.session(0).user_ids[0], -1)
+        evaluator = ObjectiveEvaluator(conf, ObjectiveWeights.normalized_for(conf))
+        with pytest.raises(ModelError, match="unassigned"):
+            evaluator.session_cost(broken, 0)
+        with pytest.raises(ModelError, match="unassigned"):
+            evaluator.total(broken)

@@ -1,8 +1,10 @@
-"""Tests for repro.core.fastpath — agreement with the per-flow oracle
-(``tests/flow_oracle.py``) on every workload the suite touches: usage bit
-for bit (the ledger and the bootstrap verdict rely on it), delays
-approximately (the profile adds a transcoded flow's terms in the kernel's
-order, see ``tests/kernel_oracle.py``)."""
+"""Tests for repro.core.fastpath — the flow model's static structure and
+its cache — and for the flow-model kernel's one-assignment pass
+(:meth:`ConferenceArrays.evaluate_assignment`) against the per-flow
+oracle (``tests/flow_oracle.py``) on every workload the suite touches:
+usage bit for bit (the ledger and the bootstrap verdict rely on it),
+delays approximately (the kernel adds a transcoded flow's terms in the
+objective's order, see ``tests/kernel_oracle.py``)."""
 
 import gc
 import weakref
@@ -35,6 +37,10 @@ def random_assignment(conf, rng):
     )
 
 
+def evaluate(profile, assignment, sid):
+    return arrays_for(profile).evaluate_assignment(assignment, sid)
+
+
 class TestUsageEquivalence:
     def test_matches_reference_on_prototype(self, proto_conf, rng):
         profile = ConferenceProfile(proto_conf)
@@ -42,9 +48,7 @@ class TestUsageEquivalence:
             assignment = random_assignment(proto_conf, rng)
             for sid in range(proto_conf.num_sessions):
                 ref = compute_session_usage(proto_conf, assignment, sid)
-                fast = profile.session_usage(
-                    assignment.user_agent, assignment.task_agent, sid
-                )
+                fast = evaluate(profile, assignment, sid).usage
                 for field in USAGE_FIELDS:
                     assert np.array_equal(getattr(ref, field), getattr(fast, field))
 
@@ -58,9 +62,7 @@ class TestUsageEquivalence:
                 assignment = random_assignment(conf, rng)
                 for sid in range(conf.num_sessions):
                     ref = compute_session_usage(conf, assignment, sid)
-                    fast = profile.session_usage(
-                        assignment.user_agent, assignment.task_agent, sid
-                    )
+                    fast = evaluate(profile, assignment, sid).usage
                     for field in USAGE_FIELDS:
                         assert np.array_equal(getattr(ref, field), getattr(fast, field))
 
@@ -72,9 +74,7 @@ class TestUsageEquivalence:
         for tasks in ([0, 0], [0, 1], [1, 0], [1, 1]):
             assignment = Assignment(np.array([0, 1, 0]), np.array(tasks))
             ref = compute_session_usage(conf, assignment, 0)
-            fast = profile.session_usage(
-                assignment.user_agent, assignment.task_agent, 0
-            )
+            fast = evaluate(profile, assignment, 0).usage
             for field in USAGE_FIELDS:
                 assert np.array_equal(getattr(ref, field), getattr(fast, field))
 
@@ -86,23 +86,21 @@ class TestDelayEquivalence:
             assignment = random_assignment(proto_conf, rng)
             for sid in range(proto_conf.num_sessions):
                 ref = session_user_delays(proto_conf, assignment, sid)
-                _mean, _max_flow, fast = profile.session_delays(
-                    assignment.user_agent, assignment.task_agent, sid
-                )
-                assert ref.keys() == fast.keys()
-                for uid in ref:
-                    assert ref[uid] == pytest.approx(fast[uid])
+                fast = evaluate(profile, assignment, sid).user_worst_ms
+                users = proto_conf.session(sid).user_ids
+                assert ref.keys() == set(users)
+                for uid, worst in zip(users, fast):
+                    assert ref[uid] == pytest.approx(worst)
 
     def test_delay_cost_and_max_flow(self, proto_conf, rng):
         profile = ConferenceProfile(proto_conf)
         assignment = random_assignment(proto_conf, rng)
         for sid in range(0, proto_conf.num_sessions, 3):
-            mean, max_flow, worst = profile.session_delays(
-                assignment.user_agent, assignment.task_agent, sid
-            )
-            assert list(worst) == list(proto_conf.session(sid).user_ids)
-            assert mean == sum(worst.values()) / len(worst)
-            assert max_flow == max(worst.values())
+            evaluation = evaluate(profile, assignment, sid)
+            mean, worst = evaluation.delay_cost_ms, evaluation.user_worst_ms
+            max_flow = worst.max()
+            assert worst.shape == (len(proto_conf.session(sid).user_ids),)
+            assert mean == sum(worst) / len(worst)
             assert mean == pytest.approx(
                 session_delay_cost(proto_conf, assignment, sid)
             )

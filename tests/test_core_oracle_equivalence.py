@@ -1,11 +1,11 @@
 """Production constraint checks and the bootstrap against the flow oracle.
 
-:func:`repro.core.feasibility.check_assignment` sums
-:meth:`ConferenceProfile.session_usage` for (5)-(7) and reads (8) off
-:func:`repro.core.delay.flow_table_delays`; :func:`try_bootstrap` feeds
-its ledger from the profile and judges the ledger's own totals.
-``tests/flow_oracle.py`` computes both flow by flow, the way the code did
-before it read the profile.  These tests pin the verdicts and violation
+:func:`repro.core.feasibility.check_assignment` sums the kernel's
+:meth:`ConferenceArrays.assignment_usage` for (5)-(7) and reads
+(8) off :func:`repro.core.delay.flow_table_delays`;
+:func:`try_bootstrap` feeds its ledger from the same kernel pass and
+judges the ledger's own totals.  ``tests/flow_oracle.py`` computes both
+flow by flow, the way the code did before it read the profile.  These tests pin the verdicts and violation
 lines to the oracle on random, capacity-tight, delay-tight, faulted,
 partial and unassigned states, and the bootstrap's outcome and
 assignment on a capacity grid where it both succeeds and fails.
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.agrank import AgRankConfig
+from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.bootstrap import try_bootstrap
 from repro.core.fastpath import profile_for
@@ -314,11 +315,9 @@ class TestBootstrapMatchesOracle:
             seed=5, params=ScenarioParams(num_user_sites=48, num_users=24)
         )
         assignment = try_bootstrap(conference, "agrank").assignment
-        profile = profile_for(conference)
+        arrays = arrays_for(profile_for(conference))
         for sid in range(conference.num_sessions):
-            fast = profile.session_usage(
-                assignment.user_agent, assignment.task_agent, sid
-            )
+            fast = arrays.assignment_usage(assignment, sid)
             ref = flow_oracle.compute_session_usage(conference, assignment, sid)
             for name in ("download", "upload", "transcodes"):
                 assert np.array_equal(getattr(fast, name), getattr(ref, name))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.feasibility import is_feasible
+from repro.core.feasibility import check_assignment, is_feasible
 from repro.core.markov import MarkovConfig
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
 from repro.errors import SimulationError
@@ -375,6 +375,43 @@ class TestSimulatorFaultInjection:
         assert result.faults_injected == 1
         assert result.fault_migrations == 0
         assert result.sessions_dropped == 0
+
+    def test_sla_samples_follow_check_assignment(self, evaluator, monkeypatch):
+        """A sample counts toward ``sla_violation_s`` exactly when
+        ``check_assignment`` reports a constraint (8) line for the active
+        sessions on the current substrate view."""
+        sample = ConferencingSimulator._sample_resilience
+        verdicts = []
+
+        def checked(simulator, active, now):
+            before = simulator._sla_violation_s
+            report = check_assignment(
+                simulator._conference, simulator._live.assignment, active
+            )
+            sample(simulator, active, now)
+            verdicts.append(
+                (
+                    simulator._sla_violation_s > before,
+                    any(
+                        line.startswith("constraint (8)")
+                        for line in report.violations
+                    ),
+                )
+            )
+
+        monkeypatch.setattr(ConferencingSimulator, "_sample_resilience", checked)
+        schedule = FaultSchedule(
+            faults=(
+                Fault(kind="latency", site=0, start_s=6.0, end_s=14.0, severity=20.0),
+                Fault(kind="outage", site=3, start_s=20.0, end_s=30.0),
+            ),
+            policy="none",
+        )
+        result = run_sim(evaluator, faults=schedule)
+        counted = [violating for violating, _ in verdicts]
+        assert counted == [reported for _, reported in verdicts]
+        assert 0 < sum(counted) < len(counted)
+        assert result.sla_violation_s == sum(counted) * quick_config().sample_interval_s
 
     def test_faults_beyond_horizon_never_fire(self, evaluator):
         schedule = FaultSchedule(
