@@ -2,7 +2,8 @@
 
 Three targets: (1) raw generation speed of the seeded Poisson/MMPP
 session processes, (2) parse + canonical-sort + validate speed of the
-CSV codec, and (3) open-loop batch streaming through
+CSV codec into a :class:`~repro.runtime.dynamics.DynamicsSchedule`,
+and (3) open-loop batch streaming through
 :class:`~repro.runtime.traces.TracePlayer`.  Each asserts a modest
 floor (thousands of events/sec) so a quadratic regression in the event
 path fails loudly rather than silently slowing fleet sweeps.
@@ -10,12 +11,12 @@ path fails loudly rather than silently slowing fleet sweeps.
 
 from __future__ import annotations
 
+from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.traces import (
     SessionProcess,
     TracePlayer,
     format_trace,
     parse_trace,
-    schedule_from_trace,
 )
 
 #: Generated-trace horizon; at rate 2/s this yields ~10k events.
@@ -63,22 +64,22 @@ def test_parse_validate_events_per_sec(benchmark):
     events = _process().trace(DURATION_S)
     text = format_trace(events, fmt="csv")
 
-    def parse_and_lower():
-        return schedule_from_trace(parse_trace(text))
+    def parse_and_validate():
+        return DynamicsSchedule(parse_trace(text))
 
-    schedule = benchmark(parse_and_lower)
+    schedule = benchmark(parse_and_validate)
 
-    total = len(schedule.events) + len(schedule.initial_sids)
+    total = len(schedule.events)
     rate = total / benchmark.stats.stats.mean
     print(f"\ncsv parse+validate: {total} events, {rate:,.0f} events/s")
     assert rate > MIN_EVENTS_PER_S
 
 
 def test_player_stream_events_per_sec(benchmark):
-    schedule = schedule_from_trace(_process().trace(DURATION_S))
+    schedule = DynamicsSchedule(_process().trace(DURATION_S))
 
     def drain():
-        player = TracePlayer.from_schedule(schedule)
+        player = TracePlayer(schedule)
         count = 0
         while True:
             batch = player.next_batch()
@@ -88,7 +89,7 @@ def test_player_stream_events_per_sec(benchmark):
 
     count = benchmark(drain)
 
-    assert count == len(schedule.events)
+    assert count == len(schedule.events) - len(schedule.initial_sids)
     rate = count / benchmark.stats.stats.mean
     print(f"\nplayer stream: {count} events, {rate:,.0f} events/s")
     assert rate > MIN_EVENTS_PER_S

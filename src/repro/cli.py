@@ -669,7 +669,7 @@ def _generate_trace(args: argparse.Namespace) -> int:
 
 
 def _validate_trace(args: argparse.Namespace) -> int:
-    from repro.runtime.traces import validate_trace
+    from repro.runtime.dynamics import validate_trace
 
     events = _read_trace(args)
     initial = validate_trace(events, max_sessions=args.sessions)

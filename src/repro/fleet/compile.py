@@ -39,7 +39,7 @@ from repro.model.conference import Conference
 from repro.model.representation import PAPER_LADDER
 from repro.netsim.latency import substrate_cache_stats
 from repro.netsim.noise import GaussianNoise, NoiseModel, QuantizedPerturbation
-from repro.runtime.dynamics import DynamicsSchedule
+from repro.runtime.dynamics import DynamicsSchedule, TraceEvent
 from repro.runtime.faults import (
     Fault,
     FaultSchedule,
@@ -50,7 +50,7 @@ from repro.runtime.simulation import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.runtime.traces import TraceEvent, load_trace, schedule_from_trace
+from repro.runtime.traces import load_trace
 from repro.workloads.demand import DemandModel
 from repro.workloads.prototype import prototype_conference
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
@@ -161,7 +161,7 @@ def _trace_schedule(spec: RunSpec, num_sessions: int) -> DynamicsSchedule:
                 seed=trace.seed if trace.seed >= 0 else spec.simulation.seed,
             )
             events = process.trace(spec.simulation.duration_s)
-        return schedule_from_trace(events, max_sessions=num_sessions)
+        return DynamicsSchedule(events, max_sessions=num_sessions)
     except ReproError as error:
         raise SpecError(
             f"spec {spec.name!r}: trace infeasible for "
@@ -319,7 +319,7 @@ def compile_trace(
     data["sweep"] = {"replicates": 1, "axes": []}
     compiled = compile_spec(RunSpec.from_dict(data))
     try:
-        schedule = schedule_from_trace(
+        schedule = DynamicsSchedule(
             events, max_sessions=compiled.conference.num_sessions
         )
     except ReproError as error:

@@ -399,8 +399,11 @@ class ChurnWave:
 
     def __post_init__(self) -> None:
         _coerce_declared_scalars(self)
-        if self.time_s < 0:
-            raise SpecError(f"churn wave time must be >= 0, got {self.time_s}")
+        if not self.time_s > 0:
+            raise SpecError(
+                f"churn wave time must be > 0, got {self.time_s}; "
+                "sessions active at t=0 are set by churn.initial"
+            )
         if self.arrive < 0 or self.depart < 0:
             raise SpecError("churn wave arrive/depart must be >= 0")
 

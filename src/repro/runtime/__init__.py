@@ -15,22 +15,21 @@ discrete-event simulation:
 * :mod:`repro.runtime.metrics` — time-series recording;
 * :mod:`repro.runtime.migration` — the dual-feed overhead model
   (~13.2 kb per 240p migration at a 30 ms overlap, per the paper);
-* :mod:`repro.runtime.dynamics` — session arrival/departure/resize
-  schedules (Fig. 5) with a canonical intra-timestamp event order;
+* :mod:`repro.runtime.dynamics` — the session event
+  (:class:`~repro.runtime.dynamics.TraceEvent`: arrive / resize /
+  depart), its canonical intra-timestamp order, its validator and the
+  :class:`~repro.runtime.dynamics.DynamicsSchedule`, a validated trace
+  (Fig. 5, churn waves, trace files and generated processes alike);
 * :mod:`repro.runtime.traces` — trace file IO (CSV/JSONL), seeded
   stochastic session processes (Poisson / MMPP / diurnal) and the
-  open-loop :class:`~repro.runtime.traces.TracePlayer`;
+  open-loop :class:`~repro.runtime.traces.TracePlayer`, which batches a
+  schedule by timestamp;
 * :mod:`repro.runtime.simulation` — the simulator binding a
   :class:`~repro.core.markov.MarkovAssignmentSolver` to wall-clock time,
   fed one trace batch at a time.
 """
 
-from repro.runtime.dynamics import (
-    DynamicsSchedule,
-    SessionArrival,
-    SessionDeparture,
-    SessionResize,
-)
+from repro.runtime.dynamics import DynamicsSchedule, TraceEvent
 from repro.runtime.events import EventQueue
 from repro.runtime.metrics import TimeSeriesRecorder
 from repro.runtime.migration import MigrationModel, MigrationRecord
@@ -41,14 +40,11 @@ from repro.runtime.simulation import (
 )
 from repro.runtime.traces import (
     SessionProcess,
-    TraceEvent,
     TracePlayer,
     dump_trace,
     format_trace,
     load_trace,
     parse_trace,
-    schedule_from_trace,
-    trace_from_schedule,
 )
 
 __all__ = [
@@ -57,10 +53,7 @@ __all__ = [
     "EventQueue",
     "MigrationModel",
     "MigrationRecord",
-    "SessionArrival",
-    "SessionDeparture",
     "SessionProcess",
-    "SessionResize",
     "SimulationConfig",
     "SimulationResult",
     "TimeSeriesRecorder",
@@ -70,6 +63,4 @@ __all__ = [
     "format_trace",
     "load_trace",
     "parse_trace",
-    "schedule_from_trace",
-    "trace_from_schedule",
 ]

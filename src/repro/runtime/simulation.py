@@ -25,11 +25,10 @@ Binds Alg. 1's jump chain to wall-clock time:
   on :func:`~repro.core.delay.flow_table_delays` exactly as
   :func:`~repro.core.feasibility.check_assignment` judges it.
 
-Session dynamics stream in open-loop: the simulator consumes a
-:class:`~repro.runtime.traces.TracePlayer` one timestamp batch at a
-time (a :class:`~repro.runtime.dynamics.DynamicsSchedule` is wrapped
-into a player transparently), so unbounded generated traces play
-without ever materializing a full schedule.
+Session dynamics come from one validated
+:class:`~repro.runtime.dynamics.DynamicsSchedule`: its ``t=0`` arrivals
+are bootstrapped, and a :class:`~repro.runtime.traces.TracePlayer`
+feeds every later event open-loop, one timestamp batch at a time.
 """
 
 from __future__ import annotations
@@ -49,11 +48,7 @@ from repro.core.objective import ObjectiveEvaluator
 from repro.errors import InfeasibleError, SimulationError
 from repro.model.conference import Conference
 from repro.netsim.noise import NoiseModel
-from repro.runtime.dynamics import (
-    DynamicsSchedule,
-    SessionArrival,
-    SessionResize,
-)
+from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.events import EventHandle, EventQueue
 from repro.runtime.faults import (
     Fault,
@@ -156,7 +151,7 @@ class ConferencingSimulator:
     def __init__(
         self,
         evaluator: ObjectiveEvaluator,
-        schedule: DynamicsSchedule | TracePlayer,
+        schedule: DynamicsSchedule,
         config: SimulationConfig | None = None,
         noise: NoiseModel | None = None,
         migration_model: MigrationModel | None = None,
@@ -165,11 +160,7 @@ class ConferencingSimulator:
     ):
         self._evaluator = evaluator
         self._conference: Conference = evaluator.conference
-        self._player = (
-            TracePlayer.from_schedule(schedule)
-            if isinstance(schedule, DynamicsSchedule)
-            else schedule
-        )
+        self._player = TracePlayer(schedule)
         self._config = config if config is not None else SimulationConfig()
         self._noise = noise
         self._migration_model = (
@@ -463,22 +454,16 @@ class ConferencingSimulator:
     # Open-loop trace feed                                               #
     # ------------------------------------------------------------------ #
 
-    _TRACE_KINDS = {
-        SessionArrival: "arrival",
-        SessionResize: "resize",
-    }
-
     def _pump_trace(self) -> None:
         """Schedule the player's next timestamp batch (open-loop: one
         batch in flight at a time, pulled only when the previous batch
-        has fully executed — unbounded streams never pile up)."""
+        has fully executed)."""
         batch = self._player.next_batch(limit_s=self._config.duration_s)
         if batch:
             tele.count("trace.events", len(batch))
         self._pending_trace = len(batch)
         for event in batch:
-            kind = self._TRACE_KINDS.get(type(event), "departure")
-            self._queue.schedule(event.time_s, kind, event.sid)
+            self._queue.schedule(event.time_s, event.kind, event.sid)
 
     def _trace_event_done(self) -> None:
         self._pending_trace -= 1
@@ -529,9 +514,9 @@ class ConferencingSimulator:
                 self._on_wake(self._waking_session(handle, now), now)
             elif handle.kind == "sample":
                 self._on_sample(now)
-            elif handle.kind == "arrival":
+            elif handle.kind == "arrive":
                 self._on_arrival(handle.payload, now)
-            elif handle.kind == "departure":
+            elif handle.kind == "depart":
                 self._on_departure(handle.payload, now)
             elif handle.kind == "resize":
                 self._on_resize(handle.payload, now)

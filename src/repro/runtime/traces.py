@@ -1,34 +1,31 @@
-"""Open-loop trace player + stochastic session processes.
+"""Trace files, stochastic session processes and the trace player.
 
 The paper's dynamic evaluation (Fig. 5) drives the runtime with one
 hand-written wave schedule.  This module opens the churn axis to
-arbitrary inputs:
+arbitrary inputs, all of them streams of
+:class:`~repro.runtime.dynamics.TraceEvent` rows:
 
 * **Trace files** — CSV or JSONL rows of timestamped session
   ``arrive`` / ``depart`` / ``resize`` events (:func:`parse_trace`,
-  :func:`load_trace`), exported back out losslessly
+  :func:`load_trace`), written back out losslessly
   (:func:`format_trace`, :func:`dump_trace`).  Arrivals at exactly
   ``t=0`` define the initially active set, so a trace is
-  self-contained: ``export -> play`` round-trips the schedule.
+  self-contained: a schedule's events written out and read back give
+  the same :class:`~repro.runtime.dynamics.DynamicsSchedule`.
 * **Session processes** — :class:`SessionProcess`, a seeded generator
   of Poisson arrivals with exponential or lognormal holding times,
   plus bursty (two-state MMPP) and diurnal (sinusoidally modulated
   rate) variants.  Generation is bit-for-bit deterministic per seed
   and streams lazily (:meth:`SessionProcess.stream` never
   materializes an unbounded trace).
-* **The player** — :class:`TracePlayer`, the open-loop bridge into
-  :class:`~repro.runtime.simulation.ConferencingSimulator`: it feeds
-  events incrementally (one timestamp batch at a time), validating the
-  stream as it goes, instead of requiring a fully materialized
-  :class:`~repro.runtime.dynamics.DynamicsSchedule`.
+* **The player** — :class:`TracePlayer`, the open-loop feed of
+  :class:`~repro.runtime.simulation.ConferencingSimulator`: it hands
+  out a schedule's events after the initial arrivals one timestamp
+  batch at a time.
 
-Invariants enforced on every trace (parse errors name the offending
-line, semantic errors the offending event): timestamps are
-non-negative and non-decreasing, no session arrives twice while
-active, departures and resizes reference active sessions only, and the
-conference is never emptied — at a shared timestamp arrivals execute
-before resizes before departures (stable by sid), the canonical order
-of :mod:`repro.runtime.dynamics`.
+The event type, its canonical order and the rules every trace must
+satisfy live in :mod:`repro.runtime.dynamics`
+(:func:`~repro.runtime.dynamics.validate_trace`).
 """
 
 from __future__ import annotations
@@ -36,25 +33,14 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError, SpecError
-from repro.runtime.dynamics import (
-    _EVENT_RANK,
-    DynamicsEvent,
-    DynamicsSchedule,
-    SessionArrival,
-    SessionDeparture,
-    SessionResize,
-    canonical_event_order,
-)
-
-#: Event verbs a trace row may carry, in canonical intra-timestamp order.
-TRACE_EVENT_KINDS: tuple[str, ...] = ("arrive", "depart", "resize")
+from repro.runtime.dynamics import DynamicsSchedule, TraceEvent, sort_trace
 
 #: Holding-time distributions a session process can draw from.
 HOLDING_KINDS: tuple[str, ...] = ("exponential", "lognormal")
@@ -68,60 +54,6 @@ TRACE_CSV_HEADER = "time_s,event,sid"
 #: Entropy tag mixed into every SessionProcess seed ("trac" in hex) so
 #: generator streams never alias the simulator stream of the same seed.
 _TRACE_STREAM_TAG = 0x74726163
-
-_DYNAMICS_BY_KIND = {
-    "arrive": SessionArrival,
-    "depart": SessionDeparture,
-    "resize": SessionResize,
-}
-_KIND_BY_DYNAMICS = {cls: kind for kind, cls in _DYNAMICS_BY_KIND.items()}
-
-# Derived from the dynamics rank table so the trace codecs can never
-# drift from the canonical execution order.
-_KIND_RANK = {kind: _EVENT_RANK[cls] for kind, cls in _DYNAMICS_BY_KIND.items()}
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One trace row: session ``sid`` does ``kind`` at ``time_s``.
-
-    ``line`` remembers the 1-based source line of a parsed file purely
-    for diagnostics; it never participates in equality, so a parsed
-    trace compares equal to the generated trace it was exported from.
-    """
-
-    time_s: float
-    kind: str
-    sid: int
-    line: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in TRACE_EVENT_KINDS:
-            raise SimulationError(
-                f"{_at(self)}: unknown event kind {self.kind!r}; "
-                f"choose from {TRACE_EVENT_KINDS}"
-            )
-        if not math.isfinite(self.time_s) or self.time_s < 0:
-            raise SimulationError(
-                f"{_at(self)}: time_s must be finite and >= 0, "
-                f"got {self.time_s}"
-            )
-        if self.sid < 0:
-            raise SimulationError(f"{_at(self)}: sid must be >= 0, got {self.sid}")
-
-
-def _at(event: TraceEvent) -> str:
-    """Diagnostic label naming the offending event (and source line)."""
-    where = f"line {event.line}: " if event.line else ""
-    return f"trace event {where}{event.kind} sid={event.sid} t={event.time_s:g}"
-
-
-def sort_trace(events: Iterable[TraceEvent]) -> tuple[TraceEvent, ...]:
-    """Events in canonical order: time, then arrive < resize < depart,
-    then sid (the same tie-break :mod:`repro.runtime.dynamics` uses)."""
-    return tuple(
-        sorted(events, key=lambda e: (e.time_s, _KIND_RANK[e.kind], e.sid))
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -215,7 +147,8 @@ def format_trace(events: Sequence[TraceEvent], fmt: str = "csv") -> str:
     if fmt == "csv":
         rows = [TRACE_CSV_HEADER]
         # repr() is the shortest representation that round-trips the
-        # float exactly — export -> play must reproduce the schedule.
+        # float exactly — a written trace must read back as the same
+        # schedule.
         rows.extend(f"{event.time_s!r},{event.kind},{event.sid}" for event in ordered)
     else:
         rows = [
@@ -248,96 +181,6 @@ def dump_trace(events: Sequence[TraceEvent], path: str | Path) -> None:
     """Write a trace file, format chosen by the path suffix."""
     path = Path(path)
     path.write_text(format_trace(events, fmt=trace_format_for_path(path)), encoding="utf-8")
-
-
-# --------------------------------------------------------------------- #
-# Trace <-> schedule                                                    #
-# --------------------------------------------------------------------- #
-
-
-def validate_trace(
-    events: Sequence[TraceEvent], max_sessions: int | None = None
-) -> tuple[int, ...]:
-    """Check a trace's invariants; return the initial sid tuple.
-
-    Rejects (naming the offending event, and its source line when the
-    trace was parsed from a file): arrivals of already-active sids,
-    departures/resizes of inactive sids, departures that would empty the
-    conference, an empty active set at t=0, and — when ``max_sessions``
-    is given — any sid outside the workload's session pool.
-    """
-    return _validate_sorted(sort_trace(events), max_sessions)
-
-
-def _validate_sorted(
-    ordered: tuple[TraceEvent, ...], max_sessions: int | None
-) -> tuple[int, ...]:
-    active: set[int] = set()
-    for event in ordered:
-        if max_sessions is not None and event.sid >= max_sessions:
-            raise SimulationError(
-                f"{_at(event)}: sid exceeds the workload's session pool "
-                f"[0, {max_sessions})"
-            )
-        if event.kind == "arrive":
-            if event.sid in active:
-                raise SimulationError(
-                    f"{_at(event)}: session arrives while already active"
-                )
-            active.add(event.sid)
-        elif event.kind == "resize":
-            if event.sid not in active:
-                raise SimulationError(
-                    f"{_at(event)}: session resizes while inactive"
-                )
-        else:
-            if event.sid not in active:
-                raise SimulationError(
-                    f"{_at(event)}: session departs while inactive"
-                )
-            if len(active) == 1:
-                raise SimulationError(
-                    f"{_at(event)}: departure would empty the conference"
-                )
-            active.remove(event.sid)
-    initial = tuple(
-        sorted(e.sid for e in ordered if e.kind == "arrive" and e.time_s == 0.0)
-    )
-    if not initial:
-        raise SimulationError(
-            "trace has no arrivals at t=0: at least one session must be "
-            "active when the run starts"
-        )
-    return initial
-
-
-def schedule_from_trace(
-    events: Sequence[TraceEvent], max_sessions: int | None = None
-) -> DynamicsSchedule:
-    """Lower a trace into a validated :class:`DynamicsSchedule`.
-
-    Arrivals at exactly ``t=0`` become the initially active set; every
-    other event maps one-to-one onto the dynamics event types.
-    """
-    ordered = sort_trace(events)
-    initial = _validate_sorted(ordered, max_sessions)
-    dynamics = tuple(
-        _DYNAMICS_BY_KIND[event.kind](event.time_s, event.sid)
-        for event in ordered
-        if not (event.kind == "arrive" and event.time_s == 0.0)
-    )
-    return DynamicsSchedule(initial_sids=initial, events=dynamics)
-
-
-def trace_from_schedule(schedule: DynamicsSchedule) -> tuple[TraceEvent, ...]:
-    """Export a schedule as a self-contained trace (initial sessions
-    become arrivals at ``t=0``), the inverse of :func:`schedule_from_trace`."""
-    events = [TraceEvent(0.0, "arrive", sid) for sid in schedule.initial_sids]
-    events.extend(
-        TraceEvent(event.time_s, _KIND_BY_DYNAMICS[type(event)], event.sid)
-        for event in schedule.events
-    )
-    return sort_trace(events)
 
 
 # --------------------------------------------------------------------- #
@@ -542,10 +385,6 @@ class SessionProcess:
             events.append(event)
         return sort_trace(events)
 
-    def schedule(self, duration_s: float) -> DynamicsSchedule:
-        """Generate and lower a trace in one step."""
-        return schedule_from_trace(self.trace(duration_s))
-
 
 # --------------------------------------------------------------------- #
 # The open-loop player                                                  #
@@ -555,78 +394,19 @@ class SessionProcess:
 class TracePlayer:
     """Open-loop event feed for the simulator.
 
-    Wraps an initially active sid set plus a (possibly unbounded,
-    lazily produced) time-ordered event iterator, and hands the
-    simulator one *timestamp batch* at a time — all events sharing the
-    next ``time_s``, in canonical order — so the run never materializes
-    the full schedule.  Streamed events are validated incrementally
-    against the live active set; a violation raises
-    :class:`~repro.errors.SimulationError` naming the offending event.
+    Hands out a :class:`~repro.runtime.dynamics.DynamicsSchedule`'s
+    events after its initial ``t=0`` arrivals one *timestamp batch* at a
+    time — all events sharing the next ``time_s``, in canonical order.
+    The schedule was validated when it was built, so the player only
+    batches it.
     """
 
-    def __init__(
-        self,
-        initial_sids: Sequence[int],
-        events: Iterable[DynamicsEvent],
-        validate: bool = True,
-    ) -> None:
-        self._initial = tuple(initial_sids)
-        if len(set(self._initial)) != len(self._initial):
-            raise SimulationError("duplicate initial sessions")
-        self._events = iter(events)
-        self._validate = validate
-        self._active = set(self._initial)
-        self._last_time = 0.0
-        self._lookahead: DynamicsEvent | None = None
-        self._exhausted = False
+    def __init__(self, schedule: DynamicsSchedule) -> None:
+        self._initial = schedule.initial_sids
+        self._events = schedule.events
+        # Canonical order puts the t=0 arrivals first.
+        self._next = len(schedule.initial_sids)
         self._streamed = 0
-
-    @classmethod
-    def from_schedule(cls, schedule: DynamicsSchedule) -> "TracePlayer":
-        """Play a pre-validated schedule (no per-event re-validation)."""
-        return cls(schedule.initial_sids, iter(schedule.events), validate=False)
-
-    @classmethod
-    def from_trace(
-        cls, events: Iterable[TraceEvent], initial: int = 0
-    ) -> "TracePlayer":
-        """Play a trace-event stream open-loop.
-
-        The initial set is the union of sids ``[0, initial)`` and the
-        stream's leading arrivals at exactly ``t=0``; an explicit t=0
-        arrival of a sid already covered by ``initial`` is a double
-        arrival and raises.  The stream is consumed lazily, so
-        unbounded generators are fine — but it must already be
-        time-ordered (generated streams are).
-        """
-        iterator = iter(events)
-        initial_sids = set(range(initial))
-        lookahead: TraceEvent | None = None
-        for event in iterator:
-            if event.time_s == 0.0 and event.kind == "arrive":
-                if event.sid in initial_sids:
-                    raise SimulationError(
-                        f"{_at(event)}: session arrives while already active"
-                    )
-                initial_sids.add(event.sid)
-            else:
-                lookahead = event
-                break
-        if not initial_sids:
-            raise SimulationError(
-                "trace has no arrivals at t=0: at least one session must "
-                "be active when the run starts"
-            )
-
-        def dynamics() -> Iterator[DynamicsEvent]:
-            if lookahead is not None:
-                yield _DYNAMICS_BY_KIND[lookahead.kind](
-                    lookahead.time_s, lookahead.sid
-                )
-            for event in iterator:
-                yield _DYNAMICS_BY_KIND[event.kind](event.time_s, event.sid)
-
-        return cls(sorted(initial_sids), dynamics(), validate=True)
 
     @property
     def initial_sids(self) -> tuple[int, ...]:
@@ -638,82 +418,18 @@ class TracePlayer:
         """Events handed out so far (the open-loop progress counter)."""
         return self._streamed
 
-    def _check(self, event: DynamicsEvent) -> None:
-        if event.time_s < self._last_time:
-            raise SimulationError(
-                f"trace events out of order: {type(event).__name__} of "
-                f"session {event.sid} at t={event.time_s:g} after "
-                f"t={self._last_time:g}"
-            )
-        if not self._validate:
-            return
-        if event.time_s < 0:
-            raise SimulationError(f"negative event time {event.time_s}")
-        if isinstance(event, SessionArrival):
-            if event.sid in self._active:
-                raise SimulationError(f"session {event.sid} arrives twice")
-            self._active.add(event.sid)
-        elif isinstance(event, SessionResize):
-            if event.sid not in self._active:
-                raise SimulationError(
-                    f"session {event.sid} resizes while inactive"
-                )
-        else:
-            if event.sid not in self._active:
-                raise SimulationError(
-                    f"session {event.sid} departs while inactive"
-                )
-            if len(self._active) == 1:
-                raise SimulationError(
-                    f"session {event.sid} departing at t={event.time_s:g} "
-                    "would empty the conference"
-                )
-            self._active.remove(event.sid)
-
-    def _pull(self) -> DynamicsEvent | None:
-        if self._lookahead is not None:
-            event, self._lookahead = self._lookahead, None
-            return event
-        if self._exhausted:
-            return None
-        event = next(self._events, None)
-        if event is None:
-            self._exhausted = True
-        return event
-
-    def next_batch(self, limit_s: float = math.inf) -> list[DynamicsEvent]:
-        """All events at the next timestamp ``<= limit_s`` (empty when the
-        stream is exhausted or the next event lies beyond the horizon)."""
-        first = self._pull()
-        if first is None:
-            return []
-        if first.time_s > limit_s:
-            # Sorted stream: nothing at or before the horizon remains.
-            self._exhausted = True
-            self._lookahead = None
-            return []
-        batch = [first]
-        while True:
-            event = self._pull()
-            if event is None:
-                break
-            if event.time_s != first.time_s:
-                self._lookahead = event
-                break
-            batch.append(event)
-        batch = list(canonical_event_order(batch))
-        for event in batch:
-            self._check(event)
-        self._last_time = first.time_s
-        self._streamed += len(batch)
-        return batch
-
-
-def replay_speed(events: Sequence[TraceEvent], factor: float) -> tuple[TraceEvent, ...]:
-    """Time-scale a trace by ``factor`` (> 1 compresses, < 1 stretches):
-    the cheap knob for churn-intensity sweeps over one recorded trace."""
-    if not factor > 0:
-        raise SpecError(f"replay factor must be > 0, got {factor}")
-    return sort_trace(
-        replace(event, time_s=event.time_s / factor) for event in events
-    )
+    def next_batch(self, limit_s: float = math.inf) -> tuple[TraceEvent, ...]:
+        """All events at the next timestamp ``<= limit_s``; empty when the
+        schedule is exhausted or the next event lies beyond the horizon,
+        which ends the feed."""
+        events, start = self._events, self._next
+        if start == len(events) or events[start].time_s > limit_s:
+            self._next = len(events)
+            return ()
+        time_s = events[start].time_s
+        end = start + 1
+        while end < len(events) and events[end].time_s == time_s:
+            end += 1
+        self._next = end
+        self._streamed += end - start
+        return events[start:end]

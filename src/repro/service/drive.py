@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.runtime.traces import TraceEvent, validate_trace
+from repro.runtime.dynamics import TraceEvent, validate_trace
 
 
 @dataclass

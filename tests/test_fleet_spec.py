@@ -316,6 +316,12 @@ class TestValidation:
         with pytest.raises(SpecError, match="wave time"):
             ChurnWave(time_s=-1.0)
 
+    def test_wave_at_t0_rejected_naming_churn_initial(self):
+        """A t=0 arrival is an initial session: a t=0 wave would not
+        survive writing the schedule out as a trace."""
+        with pytest.raises(SpecError, match="wave time must be > 0.*churn.initial"):
+            ChurnWave(time_s=0.0, arrive=2)
+
     def test_empty_name_rejected(self):
         with pytest.raises(SpecError, match="name"):
             RunSpec(name="")

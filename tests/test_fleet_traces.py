@@ -20,12 +20,8 @@ from repro.fleet.compile import compile_spec, compile_trace, execute_trace
 from repro.fleet.library import library_spec_names, load_library_spec
 from repro.fleet.orchestrator import FleetOrchestrator, expand_matrix
 from repro.fleet.spec import ChurnSpec, RunSpec, TraceSpec, spec_hash
-from repro.runtime.traces import (
-    SessionProcess,
-    dump_trace,
-    schedule_from_trace,
-    trace_from_schedule,
-)
+from repro.runtime.dynamics import DynamicsSchedule
+from repro.runtime.traces import SessionProcess, dump_trace
 
 TRACE_LIBRARY_SPECS = ("poisson_churn", "bursty_mmpp", "diurnal_cycle")
 
@@ -159,12 +155,10 @@ simulation:
     def test_file_trace_compiles(self, tmp_path):
         path = tmp_path / "ok.csv"
         dump_trace(
-            trace_from_schedule(
-                SessionProcess(
-                    rate_per_s=0.3, mean_holding_s=10.0, initial=2,
-                    max_sessions=4, seed=1,
-                ).schedule(12.0)
-            ),
+            SessionProcess(
+                rate_per_s=0.3, mean_holding_s=10.0, initial=2,
+                max_sessions=4, seed=1,
+            ).trace(12.0),
             path,
         )
         compiled = compile_spec(self.file_spec(path))
@@ -314,9 +308,9 @@ simulation:
     def test_export_play_reproduces_schedule_and_metrics(self, tmp_path):
         spec = small_trace_spec()
         compiled = compile_spec(spec)
-        exported = trace_from_schedule(compiled.schedule)
-        # Round trip 1: the exported trace lowers to the same schedule.
-        assert schedule_from_trace(exported) == compiled.schedule
+        exported = compiled.schedule.events
+        # Round trip 1: the exported trace validates to the same schedule.
+        assert DynamicsSchedule(exported) == compiled.schedule
         # Round trip 2: playing it twice produces identical records.
         first = execute_trace(exported, spec)
         second = execute_trace(exported, spec)

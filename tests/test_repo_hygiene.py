@@ -16,6 +16,17 @@ import repro
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def src_env() -> dict:
+    """This process's environment with the imported ``repro``'s source
+    root first on ``PYTHONPATH``, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parent.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
+
+
 class TestDocs:
     @pytest.fixture(scope="class")
     def design(self):
@@ -154,19 +165,32 @@ class TestImportFootprint:
         from repro.experiments.registry import EXPERIMENTS
 
         runners = {spec.target.split(":")[0] for spec in EXPERIMENTS.values()}
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(repro.__file__).resolve().parent.parent)]
-            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
         script = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
         done = subprocess.run(
             [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
+            capture_output=True, text=True, env=src_env(), timeout=120, check=True,
         )
         loaded = set(json.loads(done.stdout))
         assert "scipy" not in loaded
         assert not loaded & runners, sorted(loaded & runners)
+
+
+class TestBenchesCollect:
+    """The benches under ``benchmarks/`` run only on demand, so tier-1
+    at least imports them: a bench still using a deleted API name
+    fails here rather than at the next perf run."""
+
+    def test_benchmarks_collect(self):
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "--collect-only", "-q",
+                "-p", "no:cacheprovider", "-o", "python_files=bench_*.py",
+                "benchmarks",
+            ],
+            cwd=REPO_ROOT, capture_output=True, text=True, env=src_env(),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
 
 class TestPublicApi:

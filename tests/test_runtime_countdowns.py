@@ -19,12 +19,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.fleet.compile import CompiledRun, compile_spec
 from repro.fleet.spec import RunSpec
-from repro.runtime.dynamics import (
-    DynamicsSchedule,
-    SessionArrival,
-    SessionDeparture,
-    SessionResize,
-)
+from repro.runtime.dynamics import DynamicsSchedule, TraceEvent
 from repro.runtime.simulation import ConferencingSimulator, SimulationResult
 from tests.countdown_oracle import PerSessionWakeSimulator
 
@@ -55,8 +50,7 @@ def churn_with_resizes(num_sessions: int, seed: int) -> DynamicsSchedule:
     never empties the conference."""
     rng = np.random.default_rng(seed)
     active = {0, 1, 2}
-    initial = tuple(sorted(active))
-    events = []
+    events = [TraceEvent(0.0, "arrive", sid) for sid in sorted(active)]
     time_s = 0.0
     for _ in range(24):
         time_s += float(rng.exponential(1.5))
@@ -64,16 +58,16 @@ def churn_with_resizes(num_sessions: int, seed: int) -> DynamicsSchedule:
         roll = rng.random()
         if idle and (roll < 0.4 or len(active) == 1):
             sid = int(rng.choice(idle))
-            events.append(SessionArrival(time_s, sid))
+            events.append(TraceEvent(time_s, "arrive", sid))
             active.add(sid)
         elif roll < 0.7:
             sid = int(rng.choice(sorted(active)))
-            events.append(SessionResize(time_s, sid))
+            events.append(TraceEvent(time_s, "resize", sid))
         else:
             sid = int(rng.choice(sorted(active)))
-            events.append(SessionDeparture(time_s, sid))
+            events.append(TraceEvent(time_s, "depart", sid))
             active.remove(sid)
-    return DynamicsSchedule(initial_sids=initial, events=tuple(events))
+    return DynamicsSchedule(tuple(events))
 
 
 def static(seed: int, freeze: float | None = None) -> CompiledRun:

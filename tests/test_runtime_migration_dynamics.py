@@ -6,7 +6,7 @@ import pytest
 from repro.core.assignment import Assignment
 from repro.core.neighborhood import Move
 from repro.errors import ModelError, SimulationError
-from repro.runtime.dynamics import DynamicsSchedule, SessionArrival, SessionDeparture
+from repro.runtime.dynamics import DynamicsSchedule, TraceEvent
 from repro.runtime.migration import MigrationModel
 from tests.conftest import build_pair_conference
 
@@ -105,14 +105,18 @@ class TestDynamicsSchedule:
     def test_static(self):
         schedule = DynamicsSchedule.static([0, 1, 2])
         assert schedule.initial_sids == (0, 1, 2)
-        assert schedule.events == ()
+        assert schedule.events == tuple(
+            TraceEvent(0.0, "arrive", sid) for sid in (0, 1, 2)
+        )
 
     def test_fig5_layout(self):
         schedule = DynamicsSchedule.fig5(
             initial_sids=range(6), arriving_sids=range(6, 10), departing_sids=[1, 3, 5]
         )
-        arrivals = [e for e in schedule.events if isinstance(e, SessionArrival)]
-        departures = [e for e in schedule.events if isinstance(e, SessionDeparture)]
+        assert schedule.initial_sids == tuple(range(6))
+        later = [e for e in schedule.events if e.time_s > 0]
+        arrivals = [e for e in later if e.kind == "arrive"]
+        departures = [e for e in later if e.kind == "depart"]
         assert {a.sid for a in arrivals} == {6, 7, 8, 9}
         assert all(a.time_s == 40.0 for a in arrivals)
         assert {d.sid for d in departures} == {1, 3, 5}
@@ -120,34 +124,61 @@ class TestDynamicsSchedule:
 
     def test_events_sorted_by_time(self):
         schedule = DynamicsSchedule(
-            initial_sids=(0,),
-            events=(
-                SessionDeparture(50.0, 1),
-                SessionArrival(10.0, 1),
+            (
+                TraceEvent(0.0, "arrive", 0),
+                TraceEvent(50.0, "depart", 1),
+                TraceEvent(10.0, "arrive", 1),
             ),
         )
-        assert [type(e).__name__ for e in schedule.events] == [
-            "SessionArrival",
-            "SessionDeparture",
-        ]
+        assert [e.kind for e in schedule.events[1:]] == ["arrive", "depart"]
 
     def test_double_arrival_rejected(self):
         with pytest.raises(SimulationError):
             DynamicsSchedule(
-                initial_sids=(0,),
-                events=(SessionArrival(1.0, 1), SessionArrival(2.0, 1)),
+                (
+                    TraceEvent(0.0, "arrive", 0),
+                    TraceEvent(1.0, "arrive", 1),
+                    TraceEvent(2.0, "arrive", 1),
+                ),
             )
 
     def test_departure_of_inactive_rejected(self):
         with pytest.raises(SimulationError):
-            DynamicsSchedule(initial_sids=(0,), events=(SessionDeparture(1.0, 5),))
+            DynamicsSchedule(
+                (TraceEvent(0.0, "arrive", 0), TraceEvent(1.0, "depart", 5))
+            )
 
     def test_duplicate_initial_rejected(self):
         with pytest.raises(SimulationError):
-            DynamicsSchedule(initial_sids=(0, 0))
+            DynamicsSchedule.static([0, 0])
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
             DynamicsSchedule(
-                initial_sids=(0,), events=(SessionArrival(-1.0, 1),)
+                (TraceEvent(0.0, "arrive", 0), TraceEvent(-1.0, "arrive", 1))
             )
+
+    def test_emptying_departure_rejected(self):
+        """Departing every session would leave the run nothing to sample
+        from the departure on."""
+        with pytest.raises(SimulationError, match="empty the conference"):
+            DynamicsSchedule.fig5(
+                initial_sids=[0, 1],
+                arriving_sids=[],
+                departing_sids=[0, 1],
+                arrival_time_s=5.0,
+                departure_time_s=20.0,
+            )
+
+    def test_empty_static_rejected(self):
+        """An empty schedule has no session to bootstrap."""
+        with pytest.raises(SimulationError, match="no arrivals at t=0"):
+            DynamicsSchedule.static([])
+
+    def test_dynamics_at_t0_rejected(self):
+        """A t=0 arrival is an initial session, so waves and Fig. 5
+        arrivals must come later."""
+        with pytest.raises(SimulationError, match="after t=0"):
+            DynamicsSchedule.churn(6, 2, [(0.0, 2, 0), (10.0, 1, 1)])
+        with pytest.raises(SimulationError, match="arrival time must be > 0"):
+            DynamicsSchedule.fig5([0, 1], [2], [], arrival_time_s=0.0)

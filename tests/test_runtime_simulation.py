@@ -138,13 +138,6 @@ class TestDynamicsRun:
 
     def test_departed_session_stops_contributing(self, evaluator):
         conference = evaluator.conference
-        schedule = DynamicsSchedule.fig5(
-            initial_sids=[0, 1],
-            arriving_sids=[],
-            departing_sids=[0, 1],
-            arrival_time_s=5.0,
-            departure_time_s=20.0,
-        )
         # Departing everything leaves nothing to sample; keep one session.
         schedule = DynamicsSchedule.fig5(
             initial_sids=[0, 1, 2],

@@ -1,19 +1,22 @@
-"""Property/regression suite for the trace layer (ISSUE 4 tentpole).
+"""Property/regression suite for session traces, schedules and the player.
 
-Locks the open-loop trace player and the stochastic session processes:
+Locks the one session-dynamics model — ``TraceEvent`` rows, validated
+into a ``DynamicsSchedule`` and batched by the ``TracePlayer`` — and
+the stochastic session processes:
 
-* every generated trace lowers into a valid ``DynamicsSchedule`` —
-  canonical event order, no double arrivals, the conference never
-  empties — across process kinds and seeds;
+* every generated trace is a valid ``DynamicsSchedule`` — canonical
+  event order, no double arrivals, the conference never empties —
+  across process kinds and seeds;
 * seeded generation is bit-for-bit deterministic, and empirical
   inter-arrival / holding statistics converge to the configured means;
 * the CSV/JSONL codecs round-trip exactly and name the offending line
-  on every malformed input;
+  on every malformed input, and a schedule written out reads back as
+  the same schedule;
 * intra-timestamp ordering is deterministic (arrivals < resizes <
   departures, stable by sid) regardless of construction order — the
   fix for the order-dependent same-``time_s`` behaviour;
-* the player streams unbounded generators incrementally and a
-  player-fed simulation reproduces the schedule-fed one bit-for-bit.
+* the player hands out the events after the ``t=0`` arrivals one
+  timestamp batch at a time, and a horizon ends its feed.
 """
 
 from __future__ import annotations
@@ -27,27 +30,20 @@ from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
 from repro.errors import SimulationError, SpecError
 from repro.runtime.dynamics import (
     DynamicsSchedule,
-    SessionArrival,
-    SessionDeparture,
-    SessionResize,
-    canonical_event_order,
+    TraceEvent,
+    sort_trace,
+    validate_trace,
 )
 from repro.runtime.simulation import ConferencingSimulator, SimulationConfig
 from repro.runtime.traces import (
     HOLDING_KINDS,
     PROCESS_KINDS,
     SessionProcess,
-    TraceEvent,
     TracePlayer,
     dump_trace,
     format_trace,
     load_trace,
     parse_trace,
-    replay_speed,
-    schedule_from_trace,
-    sort_trace,
-    trace_from_schedule,
-    validate_trace,
 )
 from repro.workloads.prototype import prototype_conference
 
@@ -65,6 +61,10 @@ def make_process(kind: str = "poisson", seed: int = 0, **overrides) -> SessionPr
         params["burst_rate_per_s"] = 0.8
     params.update(overrides)
     return SessionProcess(**params)
+
+
+def arrivals_at_t0(*sids: int) -> list[TraceEvent]:
+    return [TraceEvent(0.0, "arrive", sid) for sid in sids]
 
 
 def active_trajectory(events) -> list[int]:
@@ -90,8 +90,9 @@ class TestGeneratedTracesAreValid:
     @pytest.mark.parametrize("seed", range(8))
     def test_every_generated_trace_lowers_to_a_schedule(self, kind, seed):
         events = make_process(kind, seed=seed).trace(400.0)
-        schedule = schedule_from_trace(events, max_sessions=8)
+        schedule = DynamicsSchedule(events, max_sessions=8)
         assert schedule.initial_sids == (0, 1)
+        assert schedule.events == events
         # Events are canonically ordered and within the horizon.
         times = [event.time_s for event in events]
         assert times == sorted(times)
@@ -108,7 +109,7 @@ class TestGeneratedTracesAreValid:
     @pytest.mark.parametrize("holding", HOLDING_KINDS)
     def test_holding_kinds_generate(self, holding):
         events = make_process(holding=holding, holding_sigma=0.9).trace(300.0)
-        assert schedule_from_trace(events)
+        assert DynamicsSchedule(events)
 
     def test_pool_exhaustion_blocks_arrivals(self):
         # rate*holding >> pool: the pool saturates, arrivals are blocked.
@@ -380,9 +381,14 @@ class TestTraceValidation:
             validate_trace([TraceEvent(3.0, "arrive", 0)])
 
     def test_schedule_round_trip(self):
-        schedule = schedule_from_trace(make_process(seed=8).trace(250.0))
-        again = schedule_from_trace(trace_from_schedule(schedule))
-        assert again == schedule
+        """A schedule written out as a trace reads back as itself."""
+        for schedule in (
+            DynamicsSchedule(make_process(seed=8).trace(250.0)),
+            DynamicsSchedule.churn(6, 2, [(5.0, 2, 0), (10.0, 1, 1)]),
+        ):
+            for fmt in ("csv", "jsonl"):
+                text = format_trace(schedule.events, fmt=fmt)
+                assert DynamicsSchedule(parse_trace(text, fmt=fmt)) == schedule
 
     def test_replacement_at_shared_timestamp_is_valid(self):
         """With canonical ordering, a sid can depart at the exact instant
@@ -392,90 +398,73 @@ class TestTraceValidation:
             TraceEvent(20.0, "depart", 0),
             TraceEvent(20.0, "arrive", 1),
         ]
-        schedule = schedule_from_trace(events)
-        assert [type(e).__name__ for e in schedule.events] == [
-            "SessionArrival",
-            "SessionDeparture",
+        schedule = DynamicsSchedule(events)
+        assert [(e.kind, e.sid) for e in schedule.events] == [
+            ("arrive", 0),
+            ("arrive", 1),
+            ("depart", 0),
         ]
-
-    def test_replay_speed_scales_times(self):
-        events = make_process(seed=2).trace(200.0)
-        fast = replay_speed(events, 2.0)
-        assert max(e.time_s for e in fast) == pytest.approx(
-            max(e.time_s for e in events) / 2.0
-        )
-        assert schedule_from_trace(fast)
-        with pytest.raises(SpecError, match="replay factor"):
-            replay_speed(events, 0.0)
 
 
 class TestCanonicalIntraTimestampOrder:
     """Regression for the order-dependent same-``time_s`` behaviour."""
 
     def test_construction_order_no_longer_matters(self):
-        forward = DynamicsSchedule(
-            initial_sids=(0, 1),
-            events=(SessionArrival(40.0, 2), SessionDeparture(40.0, 0)),
-        )
-        reversed_ = DynamicsSchedule(
-            initial_sids=(0, 1),
-            events=(SessionDeparture(40.0, 0), SessionArrival(40.0, 2)),
-        )
+        arrive, depart = TraceEvent(40.0, "arrive", 2), TraceEvent(40.0, "depart", 0)
+        forward = DynamicsSchedule(arrivals_at_t0(0, 1) + [arrive, depart])
+        reversed_ = DynamicsSchedule([depart, arrive] + arrivals_at_t0(1, 0))
         assert forward == reversed_
-        assert [type(e).__name__ for e in forward.events] == [
-            "SessionArrival",
-            "SessionDeparture",
-        ]
+        assert forward.events[2:] == (arrive, depart)
 
     def test_order_within_timestamp_is_kind_then_sid(self):
         schedule = DynamicsSchedule(
-            initial_sids=(0, 1, 2),
-            events=(
-                SessionDeparture(10.0, 2),
-                SessionResize(10.0, 1),
-                SessionDeparture(10.0, 0),
-                SessionArrival(10.0, 5),
-                SessionArrival(10.0, 3),
-            ),
+            arrivals_at_t0(0, 1, 2)
+            + [
+                TraceEvent(10.0, "depart", 2),
+                TraceEvent(10.0, "resize", 1),
+                TraceEvent(10.0, "depart", 0),
+                TraceEvent(10.0, "arrive", 5),
+                TraceEvent(10.0, "arrive", 3),
+            ]
         )
-        assert [(type(e).__name__, e.sid) for e in schedule.events] == [
-            ("SessionArrival", 3),
-            ("SessionArrival", 5),
-            ("SessionResize", 1),
-            ("SessionDeparture", 0),
-            ("SessionDeparture", 2),
+        assert [(e.kind, e.sid) for e in schedule.events[3:]] == [
+            ("arrive", 3),
+            ("arrive", 5),
+            ("resize", 1),
+            ("depart", 0),
+            ("depart", 2),
         ]
 
     def test_same_sid_depart_then_rearrive_at_same_instant_rejected(self):
         """Previously legal-or-illegal depending on tuple order; now it is
         deterministically rejected (the arrival sorts first and collides
         with the still-active session)."""
-        for order in [
-            (SessionDeparture(10.0, 0), SessionArrival(10.0, 0)),
-            (SessionArrival(10.0, 0), SessionDeparture(10.0, 0)),
-        ]:
-            with pytest.raises(SimulationError, match="arrives twice"):
-                DynamicsSchedule(initial_sids=(0, 1), events=order)
+        depart, arrive = TraceEvent(10.0, "depart", 0), TraceEvent(10.0, "arrive", 0)
+        for order in [[depart, arrive], [arrive, depart]]:
+            with pytest.raises(SimulationError, match="arrives while already active"):
+                DynamicsSchedule(arrivals_at_t0(0, 1) + order)
 
     def test_churn_waves_sharing_a_timestamp_arrivals_first(self):
         schedule = DynamicsSchedule.churn(
             4, 2, waves=[(30.0, 0, 1), (30.0, 2, 0)]
         )
-        kinds = [type(e).__name__ for e in schedule.events]
-        assert kinds == [
-            "SessionArrival",
-            "SessionArrival",
-            "SessionDeparture",
+        assert [e.kind for e in schedule.events] == [
+            "arrive",
+            "arrive",
+            "arrive",
+            "arrive",
+            "depart",
         ]
+        assert schedule.initial_sids == (0, 1)
 
     def test_canonical_event_order_is_idempotent(self):
         events = [
-            SessionDeparture(5.0, 1),
-            SessionArrival(5.0, 2),
-            SessionArrival(1.0, 9),
+            TraceEvent(5.0, "depart", 1),
+            TraceEvent(5.0, "arrive", 2),
+            TraceEvent(1.0, "arrive", 9),
         ]
-        once = canonical_event_order(events)
-        assert canonical_event_order(once) == once
+        once = sort_trace(events)
+        assert sort_trace(once) == once
 
 
 # --------------------------------------------------------------------- #
@@ -486,27 +475,43 @@ class TestCanonicalIntraTimestampOrder:
 class TestTracePlayer:
     def test_batches_group_shared_timestamps(self):
         schedule = DynamicsSchedule(
-            initial_sids=(0, 1),
-            events=(
-                SessionArrival(10.0, 2),
-                SessionDeparture(10.0, 0),
-                SessionArrival(25.0, 3),
-            ),
+            arrivals_at_t0(0, 1)
+            + [
+                TraceEvent(10.0, "arrive", 2),
+                TraceEvent(10.0, "depart", 0),
+                TraceEvent(25.0, "arrive", 3),
+            ]
         )
-        player = TracePlayer.from_schedule(schedule)
+        player = TracePlayer(schedule)
         first = player.next_batch()
-        assert [type(e).__name__ for e in first] == [
-            "SessionArrival",
-            "SessionDeparture",
-        ]
+        assert [(e.kind, e.sid) for e in first] == [("arrive", 2), ("depart", 0)]
         assert [e.time_s for e in player.next_batch()] == [25.0]
-        assert player.next_batch() == []
+        assert player.next_batch() == ()
         assert player.events_streamed == 3
 
-    def test_horizon_cuts_the_stream_permanently(self):
-        player = TracePlayer.from_trace(
-            make_process(rate_per_s=1.0, mean_holding_s=3.0).stream()
+    def test_initial_arrivals_are_not_streamed(self):
+        """The t=0 arrivals are the initial set; any other t=0 event is
+        the first batch."""
+        player = TracePlayer(
+            DynamicsSchedule(
+                [
+                    TraceEvent(0.0, "resize", 0),
+                    TraceEvent(0.0, "arrive", 1),
+                    TraceEvent(6.0, "arrive", 2),
+                    TraceEvent(0.0, "arrive", 0),
+                ]
+            )
         )
+        assert player.initial_sids == (0, 1)
+        assert player.next_batch() == (TraceEvent(0.0, "resize", 0),)
+        assert [e.sid for e in player.next_batch()] == [2]
+        assert player.events_streamed == 2
+
+    def test_horizon_cuts_the_stream_permanently(self):
+        schedule = DynamicsSchedule(
+            make_process(rate_per_s=1.0, mean_holding_s=3.0).trace(60.0)
+        )
+        player = TracePlayer(schedule)
         drained = 0
         while True:
             batch = player.next_batch(limit_s=30.0)
@@ -514,39 +519,10 @@ class TestTracePlayer:
                 break
             drained += len(batch)
             assert all(e.time_s <= 30.0 for e in batch)
-        assert drained > 0
+        assert 0 < drained < len(schedule.events) - len(schedule.initial_sids)
         # Once exhausted, even a wider horizon yields nothing.
-        assert player.next_batch(limit_s=math.inf) == []
-
-    def test_out_of_order_stream_rejected(self):
-        player = TracePlayer(
-            (0, 1), iter([SessionArrival(9.0, 2), SessionArrival(5.0, 3)])
-        )
-        player.next_batch()
-        with pytest.raises(SimulationError, match="out of order"):
-            player.next_batch()
-
-    def test_streamed_violations_rejected_incrementally(self):
-        player = TracePlayer((0,), iter([SessionDeparture(4.0, 0)]))
-        with pytest.raises(SimulationError, match="empty the conference"):
-            player.next_batch()
-        player = TracePlayer((0,), iter([SessionArrival(4.0, 0)]))
-        with pytest.raises(SimulationError, match="arrives twice"):
-            player.next_batch()
-
-    def test_from_trace_reads_initial_from_t0(self):
-        events = [
-            TraceEvent(0.0, "arrive", 1),
-            TraceEvent(0.0, "arrive", 0),
-            TraceEvent(6.0, "arrive", 2),
-        ]
-        player = TracePlayer.from_trace(iter(events))
-        assert player.initial_sids == (0, 1)
-        assert [e.sid for e in player.next_batch()] == [2]
-
-    def test_from_trace_requires_initial_sessions(self):
-        with pytest.raises(SimulationError, match="no arrivals at t=0"):
-            TracePlayer.from_trace(iter([TraceEvent(5.0, "arrive", 0)]))
+        assert player.next_batch(limit_s=math.inf) == ()
+        assert player.events_streamed == drained
 
 
 class TestPlayerFedSimulation:
@@ -562,35 +538,6 @@ class TestPlayerFedSimulation:
             duration_s=40.0, hop_interval_mean_s=5.0, seed=12
         )
 
-    def test_player_matches_schedule_bit_for_bit(self, evaluator):
-        schedule = make_process(
-            rate_per_s=0.25, mean_holding_s=12.0, max_sessions=6, seed=6
-        ).schedule(40.0)
-        via_schedule = ConferencingSimulator(
-            evaluator, schedule, self.config()
-        ).run()
-        player = TracePlayer.from_trace(iter(trace_from_schedule(schedule)))
-        via_player = ConferencingSimulator(
-            evaluator, player, self.config()
-        ).run()
-        for name in ("traffic", "delay", "phi", "sessions"):
-            t1, v1 = via_schedule.series(name)
-            t2, v2 = via_player.series(name)
-            assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
-        assert via_schedule.hops == via_player.hops
-        assert via_schedule.trace_events == via_player.trace_events
-
-    def test_unbounded_stream_plays_to_horizon(self, evaluator):
-        process = make_process(
-            rate_per_s=0.5, mean_holding_s=8.0, max_sessions=6, seed=2
-        )
-        player = TracePlayer.from_trace(process.stream())
-        result = ConferencingSimulator(evaluator, player, self.config()).run()
-        times, counts = result.series("sessions")
-        assert times[-1] == pytest.approx(40.0)
-        assert counts.min() >= 1
-        assert result.trace_events > 0
-
     def test_dynamics_execute_before_samples_at_shared_timestamps(
         self, evaluator
     ):
@@ -599,8 +546,8 @@ class TestPlayerFedSimulation:
         sample event was enqueued (events closer together than one
         sample interval)."""
         schedule = DynamicsSchedule(
-            initial_sids=(0, 1),
-            events=(SessionArrival(39.5, 2), SessionDeparture(40.0, 1)),
+            arrivals_at_t0(0, 1)
+            + [TraceEvent(39.5, "arrive", 2), TraceEvent(40.0, "depart", 1)]
         )
         result = ConferencingSimulator(
             evaluator,
@@ -612,10 +559,11 @@ class TestPlayerFedSimulation:
 
     def test_resize_reexecutes_bootstrap_and_counts(self, evaluator):
         schedule = DynamicsSchedule(
-            initial_sids=(0, 1, 2),
-            events=(SessionResize(10.0, 1), SessionResize(20.0, 2)),
+            arrivals_at_t0(0, 1, 2)
+            + [TraceEvent(10.0, "resize", 1), TraceEvent(20.0, "resize", 2)]
         )
         result = ConferencingSimulator(evaluator, schedule, self.config()).run()
         assert result.resizes == 2
+        assert result.trace_events == 2
         _times, counts = result.series("sessions")
         assert set(counts) == {3.0}  # resizes never change the active count

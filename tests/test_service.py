@@ -25,9 +25,10 @@ from repro.cli import main
 from repro.errors import InfeasibleError
 from repro.fleet.compile import compile_trace
 from repro.fleet.spec import RunSpec, SimulationSpec, WorkloadSpec
+from repro.runtime.dynamics import TraceEvent
 from repro.runtime.faults import Fault, FaultSchedule
 from repro.runtime.simulation import ConferencingSimulator
-from repro.runtime.traces import TraceEvent, dump_trace
+from repro.runtime.traces import dump_trace
 from repro.service import (
     HTTPServiceClient,
     InProcessClient,
