@@ -16,7 +16,9 @@ the stochastic session processes:
   departures, stable by sid) regardless of construction order — the
   fix for the order-dependent same-``time_s`` behaviour;
 * the player hands out the events after the ``t=0`` arrivals one
-  timestamp batch at a time, and a horizon ends its feed.
+  timestamp batch at a time, and a horizon ends its feed;
+* a schedule read back from its trace file drives the same simulation
+  bit-for-bit, and a simulation plays only the events up to its horizon.
 """
 
 from __future__ import annotations
@@ -537,6 +539,46 @@ class TestPlayerFedSimulation:
         return SimulationConfig(
             duration_s=40.0, hop_interval_mean_s=5.0, seed=12
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_trace_file_replays_bit_for_bit(self, evaluator, fmt):
+        """A schedule written out as a trace and read back drives the same
+        simulation, record for record."""
+        schedule = DynamicsSchedule(
+            make_process(
+                rate_per_s=0.25, mean_holding_s=12.0, max_sessions=6, seed=6
+            ).trace(40.0)
+        )
+        replayed = DynamicsSchedule(
+            parse_trace(format_trace(schedule.events, fmt=fmt), fmt=fmt)
+        )
+        direct = ConferencingSimulator(evaluator, schedule, self.config()).run()
+        again = ConferencingSimulator(evaluator, replayed, self.config()).run()
+        for name in ("traffic", "delay", "phi", "sessions"):
+            t1, v1 = direct.series(name)
+            t2, v2 = again.series(name)
+            assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
+        assert direct.hops == again.hops
+        assert direct.trace_events == again.trace_events > 0
+
+    def test_trace_beyond_horizon_plays_to_horizon(self, evaluator):
+        """Events after ``duration_s`` are never played; the run still
+        samples up to the horizon."""
+        schedule = DynamicsSchedule(
+            make_process(
+                rate_per_s=0.5, mean_holding_s=8.0, max_sessions=6, seed=2
+            ).trace(400.0)
+        )
+        result = ConferencingSimulator(evaluator, schedule, self.config()).run()
+        times, counts = result.series("sessions")
+        assert times[-1] == pytest.approx(40.0)
+        assert counts.min() >= 1
+        played = [
+            e for e in schedule.events[len(schedule.initial_sids):]
+            if e.time_s <= 40.0
+        ]
+        assert 0 < result.trace_events == len(played)
+        assert len(played) < len(schedule.events) - len(schedule.initial_sids)
 
     def test_dynamics_execute_before_samples_at_shared_timestamps(
         self, evaluator
