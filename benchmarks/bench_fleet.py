@@ -9,8 +9,9 @@ solver-axis sweep synthesizes its latency matrices exactly once.  The
 backend targets run the same matrix through each execution backend
 (serial / local / pool) asserting identical canonical results, the
 pool target records the pool's absolute runs/sec on short units, and
-the halving target checks a budgeted sweep executes (and pays for)
-fewer units than the full grid.
+the halving targets check a budgeted sweep executes (and pays for)
+fewer units than the full grid, and that a two-rung plan on the pool
+makes exactly the cuts a serial run makes.
 """
 
 from __future__ import annotations
@@ -215,57 +216,50 @@ def test_fleet_pool_throughput(benchmark, tmp_path, prototype_seed):
     print(f"\n  pool: {expected} runs, {expected / pool_s:.2f} runs/sec")
 
 
-def test_fleet_asha_executes_no_more_units(benchmark, tmp_path, prototype_seed):
-    """Asynchronous halving never pays for more units than synchronous.
+def test_fleet_halving_on_pool_exact_counts(
+    benchmark, tmp_path, prototype_seed
+):
+    """A two-rung halving sweep on the pool makes the plan's exact cuts.
 
-    The conservative promotion rule proves each rung decision before
-    acting, so ASHA's executed-unit count is bounded by the synchronous
-    plan's (the CI ceiling) and every persisted record is
-    byte-identical — only the dispatch schedule changes.
+    4 beta points x 4 replicates with rungs after replicates 1 and 2:
+    4 + 2 + 2 = 8 of 16 units execute and 8 are pruned, whatever order
+    the 2 pool workers return records in, and the records match a
+    serial run of the same spec byte for byte.
     """
-    def halved(asynchronous: bool) -> RunSpec:
-        return RunSpec(
-            name="bench-asha",
-            workload=WorkloadSpec(kind="prototype", num_sessions=2),
-            simulation=SimulationSpec(
-                duration_s=6.0, hop_interval_mean_s=3.0, seed=prototype_seed
-            ),
-            sweep=SweepSpec(
-                replicates=4,
-                axes=(
-                    AxisSpec(path="solver.beta", values=(100, 200, 400, 800)),
-                ),
-            ),
-            execution=ExecutionSpec(
-                halving=HalvingSpec(rungs=(1, 2), asynchronous=asynchronous)
-            ),
-        )
-
-    sync_out = tmp_path / "sync"
-    sync_result = FleetOrchestrator(sync_out, workers=2).run(halved(False))
-    assert sync_result.failed == 0
+    spec = RunSpec(
+        name="bench-halving-pool",
+        workload=WorkloadSpec(kind="prototype", num_sessions=2),
+        simulation=SimulationSpec(
+            duration_s=6.0, hop_interval_mean_s=3.0, seed=prototype_seed
+        ),
+        sweep=SweepSpec(
+            replicates=4,
+            axes=(AxisSpec(path="solver.beta", values=(100, 200, 400, 800)),),
+        ),
+        execution=ExecutionSpec(halving=HalvingSpec(rungs=(1, 2))),
+    )
 
     counter = iter(range(1_000_000))
 
-    def run_asha():
-        out = tmp_path / f"asha-{next(counter)}"
-        return FleetOrchestrator(out, workers=2).run(halved(True)), out
+    def run_pool():
+        out = tmp_path / f"pool-{next(counter)}"
+        result = FleetOrchestrator(out, workers=2, backend="pool").run(spec)
+        return result, out
 
-    (asha_result, asha_out) = benchmark.pedantic(
-        run_asha, rounds=1, iterations=1
+    result, out = benchmark.pedantic(run_pool, rounds=1, iterations=1)
+    assert result.failed == 0
+    assert result.executed == 4 + 2 + 2
+    assert result.pruned == 8
+    reference = tmp_path / "serial"
+    FleetOrchestrator(reference, workers=1, backend="serial").run(spec)
+    assert canonical_results_digest(out) == canonical_results_digest(
+        reference
     )
-    assert asha_result.failed == 0
-    assert asha_result.executed <= sync_result.executed
-    assert asha_result.pruned == sync_result.pruned
-    assert canonical_results_digest(asha_out) == canonical_results_digest(
-        sync_out
-    )
-    benchmark.extra_info["sync_executed"] = sync_result.executed
-    benchmark.extra_info["asha_executed"] = asha_result.executed
+    benchmark.extra_info["executed"] = result.executed
+    benchmark.extra_info["pruned"] = result.pruned
     print(
-        f"\n  asha: {asha_result.executed} executed "
-        f"(sync {sync_result.executed}), {asha_result.pruned} pruned, "
-        f"records byte-identical"
+        f"\n  halving on pool: {result.executed} executed, "
+        f"{result.pruned} pruned, records equal to serial"
     )
 
 

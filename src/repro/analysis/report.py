@@ -449,7 +449,13 @@ def _load_stored_spec(path: Path) -> "RunSpec | None":
     * an ``execution.backend`` that no longer exists, or a host
       inventory on a backend other than ``pool``, loads as ``pool``:
       every removed backend ran its units in worker processes, and
-      ``pool`` is the one that reads ``hosts``.
+      ``pool`` is the one that reads ``hosts``;
+    * an ``asynchronous`` key in ``execution.halving`` (the removed
+      streaming plan made the same decisions as the rung-by-rung one)
+      is dropped;
+    * halving ``rungs`` that a stored spec could set before plans that
+      cannot prune were rejected are dropped when the spec would not
+      load with them.
     """
     import yaml
 
@@ -465,7 +471,15 @@ def _load_stored_spec(path: Path) -> "RunSpec | None":
             or execution.get("hosts")
         ):
             execution["backend"] = "pool"
-        return RunSpec.from_dict(data)
+        halving = execution.get("halving") if isinstance(execution, dict) else None
+        if isinstance(halving, dict):
+            halving.pop("asynchronous", None)
+        try:
+            return RunSpec.from_dict(data)
+        except SpecError:
+            if not (isinstance(halving, dict) and halving.pop("rungs", None)):
+                raise
+            return RunSpec.from_dict(data)
     except (yaml.YAMLError, SpecError):
         return None  # torn spec.yaml: diff falls back to unknowns
 
@@ -986,7 +1000,6 @@ def dispatch_stats(counters: Mapping) -> list[tuple[str, str]]:
     for name, label in (
         ("scheduler.retries", "scheduler crash retries"),
         ("scheduler.pruned", "units pruned by halving"),
-        ("scheduler.asha_promotions", "asynchronous rung promotions"),
         ("scheduler.unscheduled", "units unscheduled by fleet budget"),
     ):
         value = counters.get(name)

@@ -14,7 +14,6 @@ Examples::
     repro fleet run prototype_smoke --backend pool --budget 60
     repro fleet run prototype_smoke --backend pool --workers 4
     repro fleet run prototype_smoke --backend pool --hosts h1,h2
-    repro fleet sweep beta_locality --replicates 4 --halving 1,2 --asha
     repro fleet sweep beta_locality --axis solver.beta=200,400 --replicates 3
     repro fleet sweep beta_locality --replicates 4 --halving 1,2
     repro fleet run prototype_smoke --telemetry --progress
@@ -155,15 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="R1[,R2...]",
             help="successive-halving rungs: after each cumulative "
             "replicate count, keep the best ceil(n/eta) grid points "
-            "and record the rest as status 'pruned'",
-        )
-        sub.add_argument(
-            "--asha",
-            action="store_true",
-            help="asynchronous successive halving: promote/prune grid "
-            "points the moment enough completed peers prove the "
-            "decision, instead of barriering per rung (records stay "
-            "byte-identical to synchronous halving)",
+            "and record the rest as status 'pruned' (the last rung "
+            "must stay below sweep.replicates, and ceil(n/eta) must "
+            "drop at least one of the n grid points that the "
+            "non-execution axes span)",
         )
         sub.add_argument(
             "--hosts",
@@ -564,7 +558,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
         or axes
         or replicates is not None
         or args.halving
-        or args.asha
         or args.hosts
     ):
         data = spec.to_dict()
@@ -591,8 +584,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
                     f"got {args.halving!r}"
                 ) from None
             data["execution"]["halving"]["rungs"] = rungs
-        if args.asha:
-            data["execution"]["halving"]["asynchronous"] = True
         if args.hosts:
             data["execution"]["hosts"] = [
                 host.strip()

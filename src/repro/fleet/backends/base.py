@@ -168,9 +168,9 @@ class ExecutionBackend(ABC):
 
         Unlike :meth:`execute`'s fixed batch, ``source`` belongs to the
         caller and may grow between yielded records — the scheduler
-        appends crash retries and asynchronous-halving promotions while
-        the stream runs.  The stream ends when ``source`` is empty and
-        nothing is in flight at a yield point.
+        appends crash retries while the stream runs.  The stream ends
+        when ``source`` is empty and nothing is in flight at a yield
+        point.
 
         This default drains the queue in chunks of up to ``workers``
         payloads per :meth:`execute` call, so every backend supports

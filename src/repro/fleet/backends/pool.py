@@ -324,9 +324,9 @@ class PoolBackend(ExecutionBackend):
         """Feed workers from a live queue as they idle; yield records.
 
         The caller may append to ``source`` between yielded records
-        (crash retries, halving promotions); the stream ends when the
-        queue is empty and no unit is in flight.  The last usable host
-        is never quarantined, so a queued payload always has a worker.
+        (crash retries); the stream ends when the queue is empty and no
+        unit is in flight.  The last usable host is never quarantined,
+        so a queued payload always has a worker.
         """
         self._ensure_pool()
         batch_start = time.monotonic()

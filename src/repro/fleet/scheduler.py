@@ -27,12 +27,9 @@ It owns every policy decision about *how* the pending units run:
   ranked by the running mean of ``halving.metric`` (lower is better)
   and only the best ``ceil(n / eta)`` advance.  Abandoned points'
   remaining replicates are recorded as ``status: "pruned"`` (with the
-  rung index), not executed.  With ``halving.asynchronous`` the rung
-  barrier goes away: a point promotes the moment enough *completed*
-  peers provably rank behind it (and prunes the moment enough provably
-  rank ahead), so stragglers never idle the pool — while the
-  conservative promotion rule keeps the survivor set, and therefore
-  every persisted record, byte-identical to the synchronous plan.
+  rung index), not executed.  A plan that could never prune is
+  rejected when the spec is parsed (see
+  :class:`~repro.fleet.spec.HalvingSpec`).
 
 Units may carry different effective execution configs (``execution.*``
 sweep axes); the scheduler groups them, instantiates one backend per
@@ -224,12 +221,7 @@ class FleetScheduler:
             try:
                 points = self._points(group)
                 if execution.halving.rungs and len(points) > 1:
-                    halved = (
-                        self._run_async_halved
-                        if execution.halving.asynchronous
-                        else self._run_halved
-                    )
-                    halved(
+                    self._run_halved(
                         backend, execution, points, cached, outcome, deadline
                     )
                 else:
@@ -277,27 +269,30 @@ class FleetScheduler:
         self._on_record(record)
         self._on_progress({"event": "record", "status": status})
 
-    def _consume(
+    def _dispatch(
         self,
         backend: ExecutionBackend,
         execution: ExecutionSpec,
-        source: "deque[RunPayload]",
-        by_id: dict[str, RunPayload],
+        units: Sequence[RunUnit],
         outcome: SchedulerOutcome,
-        deadline: float | None,
-        on_resolved: Callable[[dict], None] | None = None,
+        deadline: float | None = None,
     ) -> None:
-        """Drain the live queue through the backend, retrying crashes.
+        """Run units through the backend, retrying crashed workers.
 
-        ``source`` stays live for the whole stream: crash retries are
-        re-appended here (and re-dispatch as soon as a worker idles),
-        and ``on_resolved`` — the asynchronous-halving hook — may
-        append rung promotions between records.  When the fleet budget
-        runs out mid-stream, everything still queued drains into
-        ``"unscheduled"`` records while in-flight units finish.
+        The payload queue stays live for the whole stream: crash retries
+        are re-appended to it and re-dispatch as soon as a worker idles.
+        When the fleet budget runs out mid-stream, everything still
+        queued drains into ``"unscheduled"`` records while in-flight
+        units finish.
         """
-        timeout = execution.unit_timeout_s or None
-        attempts: dict[str, int] = {}
+        if not units:
+            return
+        source = deque(
+            RunPayload.from_unit(unit, telemetry=execution.telemetry)
+            for unit in sorted(units, key=substrate_affinity)
+        )
+        by_id = {payload.run_id: payload for payload in source}
+        self._on_progress({"event": "dispatched", "count": len(source)})
         if self._spent(deadline):
             # Already over budget: nothing dispatches at all.
             while source:
@@ -308,6 +303,8 @@ class FleetScheduler:
                     outcome,
                 )
             return
+        timeout = execution.unit_timeout_s or None
+        attempts: dict[str, int] = {}
         for record in backend.execute_stream(source, timeout):
             run_id = record.get("run_id", "")
             tries = attempts.get(run_id, 1)
@@ -329,8 +326,6 @@ class FleetScheduler:
             if tries > 1:
                 record["attempts"] = tries
             self._emit(record, outcome)
-            if on_resolved is not None:
-                on_resolved(record)
             if self._spent(deadline):
                 while source:
                     payload = source.popleft()
@@ -340,35 +335,6 @@ class FleetScheduler:
                         ),
                         outcome,
                     )
-
-    def _dispatch(
-        self,
-        backend: ExecutionBackend,
-        execution: ExecutionSpec,
-        units: Sequence[RunUnit],
-        outcome: SchedulerOutcome,
-        deadline: float | None = None,
-    ) -> None:
-        """Run units through the backend, retrying crashed workers."""
-        if not units:
-            return
-        ordered = sorted(units, key=substrate_affinity)
-        payloads = [
-            RunPayload.from_unit(unit, telemetry=execution.telemetry)
-            for unit in ordered
-        ]
-        by_id = {payload.run_id: payload for payload in payloads}
-        self._on_progress({"event": "dispatched", "count": len(payloads)})
-        if self._spent(deadline):
-            for payload in payloads:
-                self._emit(
-                    unscheduled_record(payload, execution.total_budget_s),
-                    outcome,
-                )
-            return
-        self._consume(
-            backend, execution, deque(payloads), by_id, outcome, deadline
-        )
 
     # ------------------------------------------------------------------ #
     # Successive halving                                                 #
@@ -507,168 +473,3 @@ class FleetScheduler:
                         unscheduled_record(payload, execution.total_budget_s),
                         outcome,
                     )
-
-    # ------------------------------------------------------------------ #
-    # Asynchronous successive halving (ASHA)                             #
-    # ------------------------------------------------------------------ #
-
-    def _run_async_halved(
-        self,
-        backend: ExecutionBackend,
-        execution: ExecutionSpec,
-        points: dict[tuple, list[RunUnit]],
-        cached: dict[str, dict],
-        outcome: SchedulerOutcome,
-        deadline: float | None = None,
-    ) -> None:
-        """Streaming halving: promote/prune on proof, not on barriers.
-
-        The synchronous plan keeps the best ``ceil(n / eta)`` of each
-        rung's ``n`` members, so the rung sizes — and therefore the
-        promotion quota per rung — are fixed before anything runs.
-        That makes barrier-free promotion safe: a point promotes the
-        moment enough *completed* peers provably rank behind it that no
-        outcome of the still-running peers can push it out of the top
-        ``keep`` (and prunes the moment ``keep`` peers provably rank
-        ahead).  Ranking uses the same ``(score, matrix order)`` total
-        order as the synchronous path, so both plans decide identically
-        once all records land — the survivor set, the executed unit
-        set, and every persisted byte match the synchronous plan; only
-        the wall-clock schedule (and with it straggler idle time)
-        changes.
-        """
-        halving = execution.halving
-        point_list = list(points)  # matrix order
-        order = {point: i for i, point in enumerate(point_list)}
-        boundaries = self._boundaries(points, halving.rungs)
-        # Planned rung sizes: sizes[r] points ever enter rung r, and
-        # sizes[r + 1] of them are promoted out of it.
-        sizes = [len(point_list)]
-        for _ in boundaries[:-1]:
-            sizes.append(math.ceil(sizes[-1] / halving.eta))
-
-        entered = {point: 0 for point in point_list}
-        promoted_from = {point: -1 for point in point_list}
-        pruned_at: dict[tuple, int] = {}
-        source: deque[RunPayload] = deque()
-        by_id: dict[str, RunPayload] = {}
-
-        def rung_units(point: tuple, rung: int) -> list[RunUnit]:
-            low = boundaries[rung - 1] if rung else 0
-            high = boundaries[rung]
-            return [
-                unit
-                for unit in points[point]
-                if low <= unit.replicate < high
-            ]
-
-        def push(units: list[RunUnit]) -> None:
-            batch = sorted(
-                (u for u in units if u.run_id not in cached),
-                key=substrate_affinity,
-            )
-            if not batch:
-                return
-            self._on_progress(
-                {"event": "dispatched", "count": len(batch)}
-            )
-            for unit in batch:
-                payload = RunPayload.from_unit(
-                    unit, telemetry=execution.telemetry
-                )
-                by_id[payload.run_id] = payload
-                source.append(payload)
-
-        def score_if_known(point: tuple, rung: int) -> float | None:
-            """Cumulative rung mean, or None while replicates are still
-            in flight (unknown is *not* ``inf`` — only resolved
-            failures are; promotion on unknowns would break the
-            byte-identity guarantee)."""
-            upto = boundaries[rung]
-            for unit in points[point]:
-                if unit.replicate < upto and not (
-                    unit.run_id in cached or unit.run_id in outcome.fresh
-                ):
-                    return None
-            return self._score(
-                points[point], upto, halving.metric, cached, outcome
-            )
-
-        def settle(_record: dict | None = None) -> None:
-            """Fire every decision now provable; cascade via cache."""
-            changed = True
-            while changed:
-                changed = False
-                for rung in range(len(boundaries) - 1):
-                    members = [
-                        p for p in point_list if entered[p] >= rung
-                    ]
-                    undecided = [
-                        p
-                        for p in members
-                        if entered[p] == rung
-                        and promoted_from[p] < rung
-                        and p not in pruned_at
-                    ]
-                    if not undecided:
-                        continue
-                    total, keep = sizes[rung], sizes[rung + 1]
-                    known = {}
-                    for p in members:
-                        value = score_if_known(p, rung)
-                        if value is not None:
-                            known[p] = (value, order[p])
-                    for p in undecided:
-                        if p not in known:
-                            continue
-                        mine = known[p]
-                        behind = sum(
-                            1
-                            for q in members
-                            if q != p and q in known and known[q] > mine
-                        )
-                        ahead = sum(
-                            1
-                            for q in members
-                            if q != p and q in known and known[q] < mine
-                        )
-                        if behind >= total - keep:
-                            # Top-keep is now certain: even if every
-                            # unresolved peer beats p, p still ranks
-                            # above the cut.  Promote without a barrier.
-                            promoted_from[p] = rung
-                            entered[p] = rung + 1
-                            tele.count("scheduler.asha_promotions")
-                            if not self._spent(deadline):
-                                push(rung_units(p, rung + 1))
-                            changed = True
-                        elif ahead >= keep:
-                            pruned_at[p] = rung
-                            for unit in points[p]:
-                                if (
-                                    unit.replicate >= boundaries[rung]
-                                    and unit.run_id not in cached
-                                ):
-                                    self._emit(
-                                        pruned_record(unit, rung), outcome
-                                    )
-                            changed = True
-
-        for point in point_list:
-            push(rung_units(point, 0))
-        settle()  # a resumed fleet may promote straight from cache
-        self._consume(
-            backend,
-            execution,
-            source,
-            by_id,
-            outcome,
-            deadline,
-            on_resolved=settle,
-        )
-        # A spent budget starves promotions; whatever never resolved is
-        # a resource decision, recorded as unscheduled.
-        for point in point_list:
-            self._unschedule_rest(
-                execution, points, [point], 0, cached, outcome
-            )

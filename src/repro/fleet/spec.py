@@ -731,6 +731,12 @@ class HalvingSpec:
     replicates are recorded as first-class ``status: "pruned"`` records
     instead of being executed.  Surviving points run every replicate,
     so their aggregates are identical to an unbudgeted sweep.
+
+    A plan must be able to prune: a spec that declares a sweep (axes or
+    ``sweep.replicates > 1``) with rungs set is rejected unless the
+    last rung stays below ``sweep.replicates`` and the first rung's
+    ``ceil(n / eta)`` drops at least one of the ``n`` grid points that
+    the non-``execution`` axes span.
     """
 
     #: Cumulative replicate counts at which to rank and halve; empty
@@ -741,12 +747,6 @@ class HalvingSpec:
     eta: float = 2.0
     #: Ranking metric (lower is better).
     metric: str = "phi"
-    #: Promote points rung-to-rung as soon as enough *completed* peers
-    #: rank provably behind them (ASHA-style streaming), instead of
-    #: barriering on whole rungs.  The promotion rule is conservative:
-    #: the surviving points — and their records — are byte-identical to
-    #: the synchronous plan, only the wall-clock schedule changes.
-    asynchronous: bool = False
 
     def __post_init__(self) -> None:
         _coerce_declared_scalars(self)
@@ -929,14 +929,31 @@ class RunSpec:
             raise SpecError("spec name must be a non-empty string")
         rungs = self.execution.halving.rungs
         # Resolved (sweep-free) units inherit the matrix-level plan with
-        # replicates reset to 1, so the bound only applies to specs that
-        # still declare the replicates being halved over.
-        if rungs and self.sweep.replicates > 1 and rungs[-1] >= self.sweep.replicates:
-            raise SpecError(
-                f"execution.halving.rungs must stay below "
-                f"sweep.replicates ({self.sweep.replicates}) so pruning "
-                f"can save work, got {list(rungs)}"
+        # the sweep block dropped, so the rules bind only specs that
+        # still declare the sweep being halved.
+        if rungs and (self.sweep.axes or self.sweep.replicates > 1):
+            if rungs[-1] >= self.sweep.replicates:
+                raise SpecError(
+                    f"execution.halving.rungs must stay below "
+                    f"sweep.replicates ({self.sweep.replicates}) so pruning "
+                    f"can save work, got {list(rungs)}"
+                )
+            # Grid points are keyed by non-execution axis values only
+            # (``RunUnit.point``): an execution axis splits the fleet
+            # into backend groups, each ranking the same points.
+            points = math.prod(
+                len(axis.values)
+                for axis in self.sweep.axes
+                if not axis.path.startswith("execution.")
             )
+            eta = self.execution.halving.eta
+            if math.ceil(points / eta) >= points:
+                raise SpecError(
+                    f"execution.halving cannot prune: keeping "
+                    f"ceil({points} / eta {eta}) of {points} grid "
+                    f"point(s) keeps them all (execution.* axes do not "
+                    f"make grid points)"
+                )
         if self.workload.kind == "prototype":
             if not math.isinf(self.workload.mean_bandwidth_mbps) or not math.isinf(
                 self.workload.mean_transcode_slots

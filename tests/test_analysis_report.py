@@ -195,6 +195,37 @@ class TestLoader:
             RunSpec.from_dict(data)
 
     @pytest.mark.parametrize(
+        "halving",
+        [{"asynchronous": True}, {"asynchronous": False, "rungs": [1]}],
+        ids=["asynchronous", "rungs-that-cannot-prune"],
+    )
+    def test_stored_halving_keys_keep_the_spec(self, tmp_path, fleet_dirs, halving):
+        """Runs stored before the one halving plan wrote
+        ``execution.halving.asynchronous`` in every spec, and could
+        store rungs that cannot prune (one grid point here); their spec
+        still loads, so a comparison across the change keeps its
+        spec-diff rows, while specs users write stay strict."""
+        import yaml
+
+        base_dir, b200_dir = fleet_dirs
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        (old_dir / "results.jsonl").write_bytes(
+            (base_dir / "results.jsonl").read_bytes()
+        )
+        data = yaml.safe_load((base_dir / "spec.yaml").read_text(encoding="utf-8"))
+        data["execution"]["halving"].update(halving)
+        (old_dir / "spec.yaml").write_text(
+            yaml.safe_dump(data, sort_keys=False), encoding="utf-8"
+        )
+        run = load_fleet_run(old_dir)
+        assert run.spec == load_fleet_run(base_dir).spec
+        rows = dict(spec_diff([run, load_fleet_run(b200_dir)]))
+        assert set(rows) == {"name", "solver.beta"}
+        with pytest.raises(SpecError, match="unknown key.*'asynchronous'"):
+            RunSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
         "backend,hosts",
         [("subprocess", None), ("remote", ["localhost"]), ("local", ["h1"])],
         ids=["subprocess", "remote", "local-with-hosts"],

@@ -208,6 +208,32 @@ simulation:
         )
         assert "replicates must be >= 1" in capsys.readouterr().err
 
+    def test_fleet_halving_that_cannot_prune_errors(self, tmp_path, capsys):
+        """``--halving`` on a sweep it could never prune fails before
+        any unit runs: one replicate leaves nothing after the rung, and
+        one grid point leaves nothing to drop."""
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(self.SPEC_YAML)
+        out_dir = tmp_path / "out"
+        argv = ["fleet", "sweep", str(spec_path), "--out", str(out_dir)]
+        argv += ["--halving", "1"]
+        assert main(argv + ["--axis", "solver.beta=200,400"]) == 2
+        assert "stay below sweep.replicates" in capsys.readouterr().err
+        assert main(argv + ["--replicates", "3"]) == 2
+        assert "cannot prune" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_fleet_asha_flag_removed(self, tmp_path, capsys):
+        """There is one halving plan, so ``--asha`` is a usage error."""
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(self.SPEC_YAML)
+        argv = ["fleet", "sweep", str(spec_path), "--out", str(tmp_path / "out")]
+        argv += ["--axis", "solver.beta=200,400", "--replicates", "2"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--halving", "1", "--asha"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --asha" in capsys.readouterr().err
+
     def test_fleet_run_directory_rejected(self, tmp_path, capsys):
         assert main(["fleet", "run", str(tmp_path)]) == 2
         assert "neither a spec file nor a library spec" in capsys.readouterr().err

@@ -198,7 +198,8 @@ class TestBudgetedSweepWalkthrough:
 
 class TestClusterSweepWalkthrough:
     """The EXPERIMENTS.md cluster-sweep commands actually execute, and
-    the pool/host-inventory/ASHA/budget claims the section makes hold."""
+    the pool/host-inventory/halving/budget claims the section makes
+    hold."""
 
     @pytest.fixture(scope="class")
     def walkthrough(self):
@@ -232,18 +233,18 @@ class TestClusterSweepWalkthrough:
         # The localhost-inventory run produced a clean record.
         hosts = records("hosts")
         assert [r["status"] for r in hosts] == ["ok"]
-        # ASHA prunes the same units as the synchronous plan would, and
-        # its surviving records are bit-identical to the full pooled run.
-        asha = records("asha")
-        assert len(asha) == 8
-        statuses = [r["status"] for r in asha]
+        # Halving on the pool prunes 2 replicates, and its surviving
+        # records are bit-identical to the full pooled run.
+        halved = records("halved-pool")
+        assert len(halved) == 8
+        statuses = [r["status"] for r in halved]
         assert statuses.count("ok") == 6 and statuses.count("pruned") == 2
         by_id = {r["run_id"]: r for r in pooled}
         # The pooled run embeds telemetry (`--telemetry`); drop the same
         # volatile fields canonical_results_digest does.
         volatile = {"wall_time_s", "counters", "timings", "attempts"}
         strip = lambda r: {k: v for k, v in r.items() if k not in volatile}
-        for record in asha:
+        for record in halved:
             if record["status"] == "ok":
                 assert strip(record) == strip(by_id[record["run_id"]])
         # The starved sweep dispatched nothing: first-class unscheduled

@@ -605,8 +605,8 @@ class TestDispatchStats:
 class TestStreamProtocol:
     def test_base_execute_stream_consumes_appends(self):
         """The base-class fallback keeps draining payloads appended to
-        the live queue mid-stream (how crash retries and halving
-        promotions reach batch backends)."""
+        the live queue mid-stream (how crash retries reach batch
+        backends)."""
         payloads = payloads_for(golden_spec())
         source = deque(payloads[:1])
         backend = SerialBackend()

@@ -1,7 +1,9 @@
 """Fleet scheduler: successive-halving early abort (fewer units than
-the full grid, surviving aggregates identical to an unbudgeted run),
-asynchronous halving's byte-identity guarantee, fleet-level budgets,
-execution-spec validation/sweepability, and scheduling determinism."""
+the full grid, surviving aggregates identical to an unbudgeted run,
+the same decisions on every backend and under NaN metrics or crash
+retries), halving plans that cannot prune rejected at parse time,
+fleet-level budgets, execution-spec validation/sweepability, and
+scheduling determinism."""
 
 import json
 import math
@@ -90,6 +92,62 @@ class TestExecutionSpec:
                 execution=ExecutionSpec(halving=HalvingSpec(rungs=(2,))),
                 replicates=2,
             )
+
+    @pytest.mark.parametrize(
+        "replicates,axes,eta,match",
+        [
+            (
+                1,
+                (AxisSpec(path="solver.beta", values=(100, 200, 400, 800)),),
+                2.0,
+                "stay below",
+            ),
+            (3, (), 2.0, "cannot prune"),
+            (
+                2,
+                (
+                    AxisSpec(
+                        path="execution.backend", values=("serial", "local")
+                    ),
+                ),
+                2.0,
+                "cannot prune",
+            ),
+            (
+                2,
+                (AxisSpec(path="solver.beta", values=(100, 200)),),
+                1.5,
+                "cannot prune",
+            ),
+        ],
+        ids=["one-replicate", "one-point", "execution-axes-only", "eta-keeps-all"],
+    )
+    def test_halving_that_cannot_prune_rejected(
+        self, replicates, axes, eta, match
+    ):
+        """A sweep whose halving plan could never prune a unit fails at
+        parse time instead of silently running every unit: one replicate
+        leaves nothing after the rung, and a rung that keeps
+        ``ceil(n / eta) == n`` of its grid points drops none (one point,
+        execution axes only, or two points under ``eta`` 1.5)."""
+        with pytest.raises(SpecError, match=match):
+            RunSpec(
+                name="cannot-prune",
+                workload=WorkloadSpec(kind="prototype", num_sessions=2),
+                simulation=FAST_SIM,
+                sweep=SweepSpec(replicates=replicates, axes=axes),
+                execution=ExecutionSpec(
+                    halving=HalvingSpec(rungs=(1,), eta=eta)
+                ),
+            )
+
+    def test_asynchronous_halving_key_rejected(self):
+        """The one halving plan has no asynchronous mode; a spec still
+        setting the key fails like any unknown key."""
+        data = grid_spec().to_dict()
+        data["execution"]["halving"]["asynchronous"] = True
+        with pytest.raises(SpecError, match="unknown key.*asynchronous"):
+            RunSpec.from_dict(data)
 
     def test_execution_excluded_from_run_identity(self):
         """Two specs differing only in execution config denote the same
@@ -370,7 +428,7 @@ class TestClusterExecutionSpec:
             worker_cmd="ssh {host} python -m repro.fleet.backends.worker --loop",
             quarantine_after=2,
             total_budget_s=3600.0,
-            halving=HalvingSpec(rungs=(1,), asynchronous=True),
+            halving=HalvingSpec(rungs=(1,)),
         )
         spec = grid_spec(execution=execution)
         assert RunSpec.from_yaml(spec.to_yaml()) == spec
@@ -421,58 +479,35 @@ class _AlwaysCrashBackend(SerialBackend):
                 yield from super().execute([payload], timeout_s)
 
 
-class TestAsyncHalving:
-    def asha_spec(self, replicates: int = 2, rungs=(1,)) -> RunSpec:
+class TestHalvingRobustness:
+    def halved_spec(self) -> RunSpec:
         return grid_spec(
-            execution=ExecutionSpec(
-                halving=HalvingSpec(rungs=rungs, asynchronous=True)
-            ),
-            replicates=replicates,
+            execution=ExecutionSpec(halving=HalvingSpec(rungs=(1,)))
         )
 
-    def sync_spec(self, replicates: int = 2, rungs=(1,)) -> RunSpec:
-        return grid_spec(
+    @pytest.mark.parametrize(
+        "backend,hosts,rungs,replicates,executed",
+        [
+            ("serial", (), (1,), 2, 6),
+            ("local", (), (1,), 2, 6),
+            ("pool", (), (1,), 2, 6),
+            ("pool", ("localhost", "127.0.0.1"), (1,), 2, 6),
+            # 4 points -> 2 -> 1 over two rungs: 4 + 2 + 2 of 16 units.
+            ("pool", (), (1, 2), 4, 8),
+        ],
+        ids=["serial", "local", "pool", "pool-hosts", "pool-two-rungs"],
+    )
+    def test_halving_agrees_across_backends(
+        self, tmp_path, backend, hosts, rungs, replicates, executed
+    ):
+        """Record arrival order varies wildly between backends; the
+        halving decisions, and so every persisted record, must not."""
+        spec = grid_spec(
             execution=ExecutionSpec(halving=HalvingSpec(rungs=rungs)),
             replicates=replicates,
         )
-
-    def test_asha_byte_identical_to_sync_single_rung(self, tmp_path):
-        sync = FleetOrchestrator(tmp_path / "sync").run(self.sync_spec())
-        asha = FleetOrchestrator(tmp_path / "asha").run(self.asha_spec())
-        assert asha.executed == sync.executed == 6
-        assert asha.pruned == sync.pruned == 2
-        assert canonical_results_digest(
-            tmp_path / "asha"
-        ) == canonical_results_digest(tmp_path / "sync")
-
-    def test_asha_byte_identical_to_sync_multi_rung(self, tmp_path):
-        sync = FleetOrchestrator(tmp_path / "sync").run(
-            self.sync_spec(replicates=4, rungs=(1, 2))
-        )
-        asha = FleetOrchestrator(tmp_path / "asha").run(
-            self.asha_spec(replicates=4, rungs=(1, 2))
-        )
-        assert asha.executed == sync.executed == 8
-        assert asha.pruned == sync.pruned == 8
-        assert canonical_results_digest(
-            tmp_path / "asha"
-        ) == canonical_results_digest(tmp_path / "sync")
-
-    @pytest.mark.parametrize(
-        "backend,hosts",
-        [
-            ("serial", ()),
-            ("local", ()),
-            ("pool", ()),
-            ("pool", ("localhost", "127.0.0.1")),
-        ],
-        ids=["serial", "local", "pool", "pool-hosts"],
-    )
-    def test_asha_agrees_across_backends(self, tmp_path, backend, hosts):
-        """The byte-identity guarantee holds on every backend — record
-        arrival order varies wildly between them, the decisions must
-        not."""
-        spec = self.asha_spec()
+        reference = tmp_path / "reference"
+        FleetOrchestrator(reference, backend="serial").run(spec)
         if hosts:
             spec = replace(
                 spec,
@@ -483,29 +518,28 @@ class TestAsyncHalving:
         result = FleetOrchestrator(
             tmp_path / "out", backend=backend, workers=2
         ).run(spec)
-        assert result.executed == 6 and result.pruned == 2
-        reference = tmp_path / "reference"
-        FleetOrchestrator(reference, backend="serial").run(self.sync_spec())
+        assert result.executed == executed
+        assert result.executed + result.pruned == 4 * replicates
         assert canonical_results_digest(
             tmp_path / "out"
         ) == canonical_results_digest(reference)
 
-    def test_asha_resumes_from_cache_like_sync(self, tmp_path):
-        out = tmp_path / "out"
-        first = FleetOrchestrator(out).run(self.asha_spec())
-        again = FleetOrchestrator(out).run(self.asha_spec())
-        assert again.executed == 0
-        assert again.pruned == first.pruned
-        assert [r["status"] for r in again.records] == [
-            r["status"] for r in first.records
-        ]
+    def test_halving_counts_pruned(self, tmp_path):
+        """Telemetry counts each pruned unit once, and the dispatch
+        table of ``repro fleet report --telemetry`` shows the count."""
+        from repro.analysis.report import dispatch_stats
+        from repro.telemetry import load_run_telemetry
 
-    def test_nan_metric_prunes_identically_sync_and_async(
-        self, tmp_path, monkeypatch
-    ):
-        """The non-finite guard and ASHA's unknown-score handling
-        compose: a NaN metric scores worst (never poisons the ranking)
-        and both plans prune the same point."""
+        out = tmp_path / "out"
+        FleetOrchestrator(out, telemetry=True).run(self.halved_spec())
+        counters = load_run_telemetry(out).fleet["counters"]
+        # 4 points, keep 2: the other 2 points' second replicates.
+        assert counters["scheduler.pruned"] == 2
+        assert dict(dispatch_stats(counters))["units pruned by halving"] == "2"
+
+    def test_nan_metric_is_pruned(self, tmp_path, monkeypatch):
+        """The non-finite guard end to end: a NaN metric scores worst,
+        never poisons the ranking, and its point is pruned."""
         from repro.fleet import scheduler as scheduler_module
 
         poison = expand_matrix(grid_spec())[0].run_id  # beta=100, rep 0
@@ -514,28 +548,17 @@ class TestAsyncHalving:
             "create_backend",
             lambda kind, workers=1, **_: _PoisonMetricBackend(poison),
         )
-        results = {}
-        for label, spec in (
-            ("sync", self.sync_spec()),
-            ("asha", self.asha_spec()),
-        ):
-            results[label] = FleetOrchestrator(tmp_path / label).run(spec)
-            pruned_betas = {
-                r["axes"]["solver.beta"]
-                for r in results[label].records
-                if r["status"] == "pruned"
-            }
-            assert 100 in pruned_betas, label
-        assert canonical_results_digest(
-            tmp_path / "sync"
-        ) == canonical_results_digest(tmp_path / "asha")
+        result = FleetOrchestrator(tmp_path / "out").run(self.halved_spec())
+        pruned_betas = {
+            r["axes"]["solver.beta"]
+            for r in result.records
+            if r["status"] == "pruned"
+        }
+        assert 100 in pruned_betas
 
-    def test_retry_exhaustion_prunes_identically_sync_and_async(
-        self, tmp_path, monkeypatch
-    ):
+    def test_retry_exhaustion_is_pruned(self, tmp_path, monkeypatch):
         """A unit crashing through all its retries becomes an error
-        record, scores inf, and is pruned — the same way on both
-        plans (the retry/promotion interaction)."""
+        record, scores inf, and its point is pruned."""
         from repro.fleet import scheduler as scheduler_module
 
         crash = expand_matrix(grid_spec())[0].run_id
@@ -544,34 +567,16 @@ class TestAsyncHalving:
             "create_backend",
             lambda kind, workers=1, **_: _AlwaysCrashBackend(crash),
         )
-        for label, spec in (
-            ("sync", self.sync_spec()),
-            ("asha", self.asha_spec()),
-        ):
-            result = FleetOrchestrator(
-                tmp_path / label, max_retries=1
-            ).run(spec)
-            by_status = {}
-            for record in result.records:
-                by_status.setdefault(record["status"], []).append(record)
-            assert len(by_status["error"]) == 1, label
-            assert by_status["error"][0]["attempts"] == 2, label
-            pruned_betas = {
-                r["axes"]["solver.beta"] for r in by_status["pruned"]
-            }
-            assert 100 in pruned_betas, label
-        assert canonical_results_digest(
-            tmp_path / "sync"
-        ) == canonical_results_digest(tmp_path / "asha")
-
-    def test_asha_counts_promotions(self, tmp_path):
-        from repro.telemetry import load_run_telemetry
-
-        out = tmp_path / "out"
-        FleetOrchestrator(out, telemetry=True).run(self.asha_spec())
-        counters = load_run_telemetry(out).fleet["counters"]
-        # 4 points, keep 2: exactly the survivors promote out of rung 0.
-        assert counters["scheduler.asha_promotions"] == 2
+        result = FleetOrchestrator(tmp_path / "out", max_retries=1).run(
+            self.halved_spec()
+        )
+        by_status = {}
+        for record in result.records:
+            by_status.setdefault(record["status"], []).append(record)
+        assert len(by_status["error"]) == 1
+        assert by_status["error"][0]["attempts"] == 2
+        pruned_betas = {r["axes"]["solver.beta"] for r in by_status["pruned"]}
+        assert 100 in pruned_betas
 
 
 class TestFleetBudget:
@@ -626,18 +631,13 @@ class TestFleetBudget:
             reference
         )
 
-    @pytest.mark.parametrize("asynchronous", [False, True])
-    def test_budget_starved_halving_unschedules_not_prunes(
-        self, tmp_path, asynchronous
-    ):
+    def test_budget_starved_halving_unschedules_not_prunes(self, tmp_path):
         """When the budget dies mid-halving, un-run replicates are a
         resource decision (unscheduled), never a ranking decision
         (pruned on a starved rung)."""
         spec = grid_spec(
             execution=ExecutionSpec(
-                halving=HalvingSpec(
-                    rungs=(1,), asynchronous=asynchronous
-                ),
+                halving=HalvingSpec(rungs=(1,)),
                 total_budget_s=1e-9,
             )
         )
