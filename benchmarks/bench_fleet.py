@@ -34,6 +34,7 @@ from repro.fleet.spec import (
     WorkloadSpec,
 )
 from repro.netsim.latency import clear_substrate_cache
+from tests.conftest import with_execution
 
 
 def _sweep_spec(seed: int) -> RunSpec:
@@ -59,14 +60,14 @@ def _check(result, expected_runs: int) -> None:
 
 
 def test_fleet_serial_throughput(benchmark, tmp_path, prototype_seed):
-    spec = _sweep_spec(prototype_seed)
+    spec = with_execution(_sweep_spec(prototype_seed), workers=1)
     expected = len(expand_matrix(spec))
 
     counter = iter(range(1_000_000))
 
     def run():
         out = tmp_path / f"serial-{next(counter)}"
-        return FleetOrchestrator(out, workers=1).run(spec)
+        return FleetOrchestrator(out).run(spec)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _check(result, expected)
@@ -78,14 +79,14 @@ def test_fleet_serial_throughput(benchmark, tmp_path, prototype_seed):
 
 
 def test_fleet_pooled_throughput(benchmark, tmp_path, prototype_seed):
-    spec = _sweep_spec(prototype_seed)
+    spec = with_execution(_sweep_spec(prototype_seed), workers=2)
     expected = len(expand_matrix(spec))
 
     counter = iter(range(1_000_000))
 
     def run():
         out = tmp_path / f"pooled-{next(counter)}"
-        return FleetOrchestrator(out, workers=2).run(spec)
+        return FleetOrchestrator(out).run(spec)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     _check(result, expected)
@@ -98,13 +99,13 @@ def test_fleet_pooled_throughput(benchmark, tmp_path, prototype_seed):
 
 def test_fleet_cache_skip(benchmark, tmp_path, prototype_seed):
     """Re-running an unchanged spec is pure cache: zero executions."""
-    spec = _sweep_spec(prototype_seed)
+    spec = with_execution(_sweep_spec(prototype_seed), workers=1)
     out = tmp_path / "cached"
-    warm = FleetOrchestrator(out, workers=1).run(spec)
+    warm = FleetOrchestrator(out).run(spec)
     _check(warm, len(expand_matrix(spec)))
 
     result = benchmark.pedantic(
-        lambda: FleetOrchestrator(out, workers=1).run(spec),
+        lambda: FleetOrchestrator(out).run(spec),
         rounds=3,
         iterations=1,
     )
@@ -125,18 +126,21 @@ def test_fleet_backend_throughput(benchmark, tmp_path, prototype_seed, backend):
     """
     spec = _sweep_spec(prototype_seed)
     expected = len(expand_matrix(spec))
+    on_backend = with_execution(spec, workers=2, backend=backend)
 
     counter = iter(range(1_000_000))
 
     def run():
         out = tmp_path / f"{backend}-{next(counter)}"
-        result = FleetOrchestrator(out, workers=2, backend=backend).run(spec)
+        result = FleetOrchestrator(out).run(on_backend)
         return result, canonical_results_digest(out)
 
     result, digest = benchmark.pedantic(run, rounds=1, iterations=1)
     _check(result, expected)
     reference_out = tmp_path / "reference"
-    FleetOrchestrator(reference_out, workers=1, backend="serial").run(spec)
+    FleetOrchestrator(reference_out).run(
+        with_execution(spec, workers=1, backend="serial")
+    )
     assert digest == canonical_results_digest(reference_out)
     runs_per_sec = expected / benchmark.stats.stats.mean
     benchmark.extra_info["backend"] = backend
@@ -161,7 +165,7 @@ def test_fleet_halving_executes_fewer_units(benchmark, tmp_path, prototype_seed)
             replicates=2,
             axes=(AxisSpec(path="solver.beta", values=(100, 200, 400, 800)),),
         ),
-        execution=ExecutionSpec(halving=HalvingSpec(rungs=(1,))),
+        execution=ExecutionSpec(workers=1, halving=HalvingSpec(rungs=(1,))),
     )
     total = len(expand_matrix(spec))
 
@@ -169,7 +173,7 @@ def test_fleet_halving_executes_fewer_units(benchmark, tmp_path, prototype_seed)
 
     def run():
         out = tmp_path / f"halved-{next(counter)}"
-        return FleetOrchestrator(out, workers=1).run(spec)
+        return FleetOrchestrator(out).run(spec)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.executed == 6 < total == 8
@@ -194,13 +198,14 @@ def test_fleet_pool_throughput(benchmark, tmp_path, prototype_seed):
     data["sweep"]["replicates"] = 3  # 12 short units: startup dominates
     spec = RunSpec.from_dict(data)
     expected = len(expand_matrix(spec))
+    on_pool = with_execution(spec, workers=2, backend="pool")
 
     counter = iter(range(1_000_000))
 
     def run_pool():
         out = tmp_path / f"pool-{next(counter)}"
         started = time.monotonic()
-        result = FleetOrchestrator(out, workers=2, backend="pool").run(spec)
+        result = FleetOrchestrator(out).run(on_pool)
         elapsed = time.monotonic() - started
         _check(result, expected)
         assert result.executed == expected
@@ -208,7 +213,9 @@ def test_fleet_pool_throughput(benchmark, tmp_path, prototype_seed):
 
     pool_s, pool_digest = benchmark.pedantic(run_pool, rounds=1, iterations=1)
     reference_out = tmp_path / "reference"
-    FleetOrchestrator(reference_out, workers=1, backend="serial").run(spec)
+    FleetOrchestrator(reference_out).run(
+        with_execution(spec, workers=1, backend="serial")
+    )
     assert pool_digest == canonical_results_digest(reference_out)
     benchmark.extra_info["runs"] = expected
     benchmark.extra_info["pool_s"] = round(pool_s, 3)
@@ -238,12 +245,13 @@ def test_fleet_halving_on_pool_exact_counts(
         ),
         execution=ExecutionSpec(halving=HalvingSpec(rungs=(1, 2))),
     )
+    on_pool = with_execution(spec, workers=2, backend="pool")
 
     counter = iter(range(1_000_000))
 
     def run_pool():
         out = tmp_path / f"pool-{next(counter)}"
-        result = FleetOrchestrator(out, workers=2, backend="pool").run(spec)
+        result = FleetOrchestrator(out).run(on_pool)
         return result, out
 
     result, out = benchmark.pedantic(run_pool, rounds=1, iterations=1)
@@ -251,7 +259,9 @@ def test_fleet_halving_on_pool_exact_counts(
     assert result.executed == 4 + 2 + 2
     assert result.pruned == 8
     reference = tmp_path / "serial"
-    FleetOrchestrator(reference, workers=1, backend="serial").run(spec)
+    FleetOrchestrator(reference).run(
+        with_execution(spec, workers=1, backend="serial")
+    )
     assert canonical_results_digest(out) == canonical_results_digest(
         reference
     )

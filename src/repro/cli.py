@@ -118,16 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker processes (<= 1 runs serially; default: the "
-            "spec's execution.workers)",
+            help="worker processes (<= 1 runs serially); sets the "
+            "spec's execution.workers",
         )
         sub.add_argument(
             "--backend",
             choices=BACKEND_KINDS,
             default=None,
-            help="execution backend (default: the spec's "
-            "execution.backend, normally 'local': serial for one "
-            "worker without --budget, else pool)",
+            help="execution backend; sets the spec's execution.backend "
+            "(its default 'local' runs serial for one worker without "
+            "--budget, else pool)",
         )
         sub.add_argument(
             "--budget",
@@ -135,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="per-unit wall-time budget; over-budget units are "
-            "recorded as status 'timeout' (default: the spec's "
-            "execution.unit_timeout_s)",
+            "recorded as status 'timeout'; sets the spec's "
+            "execution.unit_timeout_s",
         )
         sub.add_argument(
             "--total-budget",
@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="SECONDS",
             help="fleet-level wall-clock allowance; once spent, the "
             "scheduler stops dispatching and records remaining units "
-            "as status 'unscheduled' (default: the spec's "
-            "execution.total_budget_s)",
+            "as status 'unscheduled'; sets the spec's "
+            "execution.total_budget_s",
         )
         sub.add_argument(
             "--halving",
@@ -176,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="collect span/counter telemetry (telemetry.jsonl beside "
             "results.jsonl + timings/counters record blocks); results "
-            "stay bit-identical either way",
+            "stay bit-identical either way; sets the spec's "
+            "execution.telemetry",
         )
         sub.add_argument(
             "--progress",
@@ -551,6 +552,24 @@ def _run_fleet(args: argparse.Namespace) -> int:
     for raw in args.overrides:
         path, value = _split_assignment(raw, "--set")
         overrides[path] = _parse_scalar(value)
+    # The execution flags are edits of the spec's execution section:
+    # validated with the spec before the run directory is touched,
+    # stored in spec.yaml, and overridden by any execution.* axis.
+    execution = {
+        field: value
+        for field, value in (
+            ("workers", args.workers),
+            ("backend", args.backend),
+            ("unit_timeout_s", args.budget),
+            ("total_budget_s", args.total_budget),
+            ("telemetry", args.telemetry or None),
+        )
+        if value is not None
+    }
+    if args.hosts:
+        execution["hosts"] = [
+            host.strip() for host in args.hosts.split(",") if host.strip()
+        ]
     axes = getattr(args, "axes", None)
     replicates = getattr(args, "replicates", None)
     if (
@@ -558,9 +577,10 @@ def _run_fleet(args: argparse.Namespace) -> int:
         or axes
         or replicates is not None
         or args.halving
-        or args.hosts
+        or execution
     ):
         data = spec.to_dict()
+        data["execution"].update(execution)
         if axes:
             data["sweep"]["axes"] = [
                 {
@@ -584,33 +604,17 @@ def _run_fleet(args: argparse.Namespace) -> int:
                     f"got {args.halving!r}"
                 ) from None
             data["execution"]["halving"]["rungs"] = rungs
-        if args.hosts:
-            data["execution"]["hosts"] = [
-                host.strip()
-                for host in args.hosts.split(",")
-                if host.strip()
-            ]
-            if args.backend:
-                # The inventory validates against the backend it runs on.
-                data["execution"]["backend"] = args.backend
         for path, value in overrides.items():
             apply_override(data, path, value)
         spec = type(spec).from_dict(data)
 
     out_dir = args.out or str(Path("fleet_runs") / spec.name)
     orchestrator = FleetOrchestrator(
-        out_dir,
-        workers=args.workers,
-        resume=not args.no_resume,
-        backend=args.backend,
-        unit_timeout_s=args.budget,
-        telemetry=True if args.telemetry else None,
-        total_budget_s=args.total_budget,
-        progress=args.progress,
+        out_dir, resume=not args.no_resume, progress=args.progress
     )
     result = orchestrator.run(spec)
     print(result.format_report())
-    if args.telemetry or result.telemetry_path.exists():
+    if result.telemetry_path.exists():
         _LOG.info("wrote telemetry to %s", result.telemetry_path)
     return 1 if result.failed or result.timed_out else 0
 

@@ -27,7 +27,6 @@ matrix pin.
 
 from __future__ import annotations
 
-from repro.errors import SpecError
 from repro.fleet.backends.base import (
     ExecutionBackend,
     RunPayload,
@@ -40,10 +39,9 @@ from repro.fleet.backends.pool import (
     resolve_worker_cmd,
 )
 from repro.fleet.backends.serial import SerialBackend
-from repro.fleet.spec import BACKEND_KINDS
+from repro.fleet.spec import ExecutionSpec
 
 __all__ = [
-    "BACKENDS",
     "ExecutionBackend",
     "PoolBackend",
     "RunPayload",
@@ -55,37 +53,25 @@ __all__ = [
     "timeout_record",
 ]
 
-#: Registry: ``execution.backend`` spec value -> implementation.
-BACKENDS: dict[str, type[ExecutionBackend]] = {
-    SerialBackend.kind: SerialBackend,
-    PoolBackend.kind: PoolBackend,
-}
 
+def create_backend(execution: ExecutionSpec) -> ExecutionBackend:
+    """The backend one unit group's ``execution`` section names.
 
-def create_backend(
-    kind: str, workers: int = 1, execution=None
-) -> ExecutionBackend:
-    """Instantiate a backend by its spec name.
-
-    ``execution`` (an :class:`~repro.fleet.spec.ExecutionSpec`) supplies
-    the pool's ``hosts``, ``worker_cmd`` and ``quarantine_after``, and
-    the per-unit budget the ``local`` rule reads: ``local`` runs
-    ``serial`` when ``workers <= 1`` and ``unit_timeout_s`` is 0 (the
-    in-process path cannot kill a unit), ``pool`` otherwise.
+    ``execution.backend`` is already one of ``BACKEND_KINDS`` (the spec
+    validates it).  ``local`` runs ``serial`` when ``workers <= 1`` and
+    ``unit_timeout_s`` is 0 (the in-process path cannot kill a unit),
+    ``pool`` otherwise; the pool takes its ``hosts``, ``worker_cmd`` and
+    ``quarantine_after`` from the same section.
     """
+    kind = execution.backend
     if kind == "local":
-        budget = execution.unit_timeout_s if execution is not None else 0.0
-        kind = "serial" if workers <= 1 and not budget else "pool"
-    if kind not in BACKENDS:
-        raise SpecError(
-            f"unknown execution backend {kind!r}; "
-            f"choose from {BACKEND_KINDS}"
-        )
-    if kind == "pool" and execution is not None:
-        return PoolBackend(
-            workers=workers,
-            hosts=execution.hosts,
-            worker_cmd=execution.worker_cmd,
-            quarantine_after=execution.quarantine_after,
-        )
-    return BACKENDS[kind](workers=workers)
+        serial = execution.workers <= 1 and not execution.unit_timeout_s
+        kind = "serial" if serial else "pool"
+    if kind == "serial":
+        return SerialBackend(workers=execution.workers)
+    return PoolBackend(
+        workers=execution.workers,
+        hosts=execution.hosts,
+        worker_cmd=execution.worker_cmd,
+        quarantine_after=execution.quarantine_after,
+    )

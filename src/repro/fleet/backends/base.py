@@ -28,7 +28,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.report import record_schema_version
 from repro.errors import SpecError
@@ -45,8 +45,10 @@ class RunPayload:
     spec: dict
     axes: dict = field(default_factory=dict)
     seed: int = 0
-    #: Collect unit-scope telemetry (the worker embeds its span tree in
-    #: the result record so it survives the pickle/JSON boundary).
+    #: Collect unit-scope telemetry: the unit's ``execution.telemetry``,
+    #: copied out so workers need not parse the spec (the worker embeds
+    #: its span tree in the result record so it survives the pickle/JSON
+    #: boundary).
     telemetry: bool = False
     #: Dispatcher-side substrate-affinity key (see
     #: :func:`repro.fleet.scheduler.substrate_affinity`): the pool
@@ -56,7 +58,7 @@ class RunPayload:
     affinity: str = ""
 
     @classmethod
-    def from_unit(cls, unit, telemetry: bool = False) -> "RunPayload":
+    def from_unit(cls, unit) -> "RunPayload":
         """The payload of one :class:`~repro.fleet.matrix.RunUnit`."""
         from repro.fleet.scheduler import substrate_affinity
 
@@ -65,7 +67,7 @@ class RunPayload:
             spec=unit.spec.to_dict(),
             axes=dict(unit.axes),
             seed=unit.seed,
-            telemetry=telemetry,
+            telemetry=unit.spec.execution.telemetry,
             affinity="|".join(map(str, substrate_affinity(unit))),
         )
 
@@ -137,9 +139,6 @@ class ExecutionBackend(ABC):
     yield exactly one record per payload, in any order, and must never
     let one unit's failure abandon the rest of the batch.
     """
-
-    #: Registry name of the backend ("serial" / "pool").
-    kind: ClassVar[str] = ""
 
     def __init__(self, workers: int = 1) -> None:
         if workers < 0:

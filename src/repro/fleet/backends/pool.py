@@ -223,8 +223,6 @@ class _LoopWorker:
 class PoolBackend(ExecutionBackend):
     """Persistent workers over a host inventory, least-loaded + sticky."""
 
-    kind = "pool"
-
     def __init__(
         self,
         workers: int = 1,

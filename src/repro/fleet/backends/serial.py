@@ -26,8 +26,6 @@ from repro.fleet.backends.base import (
 class SerialBackend(ExecutionBackend):
     """Executes payloads sequentially in the calling process."""
 
-    kind = "serial"
-
     def execute(
         self,
         payloads: Sequence[RunPayload],

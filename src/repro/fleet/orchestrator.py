@@ -27,8 +27,8 @@ from repro.analysis.report import (
 )
 from repro.errors import SpecError
 from repro.fleet.matrix import RunUnit, expand_matrix
-from repro.fleet.scheduler import FleetScheduler, substrate_affinity
-from repro.fleet.spec import BACKEND_KINDS, RunSpec
+from repro.fleet.scheduler import FleetScheduler
+from repro.fleet.spec import RunSpec
 from repro.telemetry import (
     TELEMETRY_FILENAME,
     ProgressTicker,
@@ -116,55 +116,23 @@ class FleetResult:
 class FleetOrchestrator:
     """Executes a spec's run matrix with caching and pluggable backends.
 
-    Constructor arguments override the spec's ``execution:`` section
-    (None defers to the spec): ``backend`` picks the dispatch mechanism
-    (``serial`` / ``pool``, or the ``local`` rule choosing between them),
-    ``workers`` the pool size, ``unit_timeout_s`` the per-unit
-    wall-time budget, ``max_retries`` the crash re-dispatch count and
-    ``total_budget_s`` the fleet-level wall-clock allowance (spent →
-    remaining units persist as ``status: "unscheduled"``).
+    How the units execute — backend, pool size, budgets, retries,
+    telemetry — is read only from the spec's ``execution:`` section
+    (and any ``execution.*`` sweep axis), which ``spec.yaml`` stores
+    with the run.  The constructor takes only where the run lives
+    (``out_dir``), whether to reuse its cached records (``resume``) and
+    whether to show the live stderr ticker (``progress``).
     """
 
     def __init__(
         self,
         out_dir: str | Path,
-        workers: int | None = None,
         resume: bool = True,
-        backend: str | None = None,
-        unit_timeout_s: float | None = None,
-        max_retries: int | None = None,
-        telemetry: bool | None = None,
-        total_budget_s: float | None = None,
         progress: bool = False,
     ) -> None:
-        if workers is not None and workers < 0:
-            raise SpecError(f"workers must be >= 0, got {workers}")
-        if backend is not None and backend not in BACKEND_KINDS:
-            raise SpecError(
-                f"backend {backend!r} is unknown; choose from {BACKEND_KINDS}"
-            )
-        if unit_timeout_s is not None and unit_timeout_s < 0:
-            raise SpecError(
-                f"unit_timeout_s must be >= 0, got {unit_timeout_s}"
-            )
-        if total_budget_s is not None and total_budget_s < 0:
-            raise SpecError(
-                f"total_budget_s must be >= 0, got {total_budget_s}"
-            )
         self._out_dir = Path(out_dir)
-        self._workers = workers
         self._resume = resume
-        self._backend = backend
-        self._unit_timeout_s = unit_timeout_s
-        self._max_retries = max_retries
-        self._telemetry = telemetry
-        self._total_budget_s = total_budget_s
         self._progress = progress
-
-    # Kept as a static alias: dispatch ordering lives in the scheduler,
-    # but the affinity key itself is part of the orchestrator's public
-    # surface (tests and benchmarks sort with it).
-    _substrate_affinity = staticmethod(substrate_affinity)
 
     # ------------------------------------------------------------------ #
     # Persistence                                                        #
@@ -219,11 +187,9 @@ class FleetOrchestrator:
         cache = self._load_cache()
         if not self._resume:
             (self._out_dir / RESULTS_FILENAME).unlink(missing_ok=True)
-        telemetry_on = (
-            self._telemetry
-            if self._telemetry is not None
-            else spec.execution.telemetry
-        )
+        # An execution.telemetry axis can turn telemetry on for some
+        # units only; their span trees still need the telemetry file.
+        telemetry_on = any(unit.spec.execution.telemetry for unit in units)
         ticker = (
             ProgressTicker(total=len(units) - len(
                 [u for u in units if u.run_id in cache]
@@ -283,12 +249,6 @@ class FleetOrchestrator:
 
                 scheduler = FleetScheduler(
                     on_record=persist,
-                    backend=self._backend,
-                    workers=self._workers,
-                    unit_timeout_s=self._unit_timeout_s,
-                    max_retries=self._max_retries,
-                    telemetry=self._telemetry,
-                    total_budget_s=self._total_budget_s,
                     on_progress=ticker.update if ticker is not None else None,
                 )
                 if collector is not None:

@@ -31,10 +31,11 @@ It owns every policy decision about *how* the pending units run:
   rejected when the spec is parsed (see
   :class:`~repro.fleet.spec.HalvingSpec`).
 
-Units may carry different effective execution configs (``execution.*``
-sweep axes); the scheduler groups them, instantiates one backend per
-distinct config, and always closes each backend — even on error paths
-— so pool workers are reliably reaped.
+Each unit's execution config is its own spec's ``execution:`` section,
+the only channel it reaches the scheduler through.  Units may carry
+different ones (``execution.*`` sweep axes); the scheduler groups them,
+instantiates one backend per distinct config, and always closes each
+backend — even on error paths — so pool workers are reliably reaped.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import repro.telemetry as tele
@@ -142,64 +143,30 @@ class FleetScheduler:
         on_record: Callable[[dict], None] | None = None,
         backend_factory: Callable[[ExecutionSpec], ExecutionBackend]
         | None = None,
-        backend: str | None = None,
-        workers: int | None = None,
-        unit_timeout_s: float | None = None,
-        max_retries: int | None = None,
-        telemetry: bool | None = None,
-        total_budget_s: float | None = None,
         on_progress: Callable[[dict], None] | None = None,
     ) -> None:
-        """``backend``/``workers``/``unit_timeout_s``/``max_retries``/
-        ``telemetry``/``total_budget_s`` override the corresponding
-        ``execution:`` spec fields for every unit (the CLI's
-        ``--backend``/``--workers``/``--budget``/``--telemetry``/
-        ``--total-budget`` flags); None defers to each unit's own spec.
-        ``on_record`` is called once per fresh record as it resolves
-        (the orchestrator's incremental JSONL append); ``on_progress``
-        receives live scheduling events — ``{"event": "dispatched",
-        "count": n}`` when units enter a backend and ``{"event":
-        "record", "status": s}`` as each record lands — the feed behind
-        ``--progress``."""
+        """``on_record`` is called once per fresh record as it resolves
+        (the orchestrator's incremental JSONL append);
+        ``backend_factory`` builds the backend of one execution config
+        (default :func:`~repro.fleet.backends.create_backend`; tests
+        substitute fakes); ``on_progress`` receives live scheduling
+        events — ``{"event": "dispatched", "count": n}`` when units
+        enter a backend and ``{"event": "record", "status": s}`` as each
+        record lands — the feed behind ``--progress``."""
         self._on_record = on_record or (lambda record: None)
         self._on_progress = on_progress or (lambda event: None)
-        self._backend_factory = backend_factory or (
-            lambda execution: create_backend(
-                execution.backend,
-                workers=execution.workers,
-                execution=execution,
-            )
-        )
-        self._overrides = {
-            key: value
-            for key, value in {
-                "backend": backend,
-                "workers": workers,
-                "unit_timeout_s": unit_timeout_s,
-                "max_retries": max_retries,
-                "telemetry": telemetry,
-                "total_budget_s": total_budget_s,
-            }.items()
-            if value is not None
-        }
+        self._backend_factory = backend_factory or create_backend
 
     # ------------------------------------------------------------------ #
     # Planning                                                           #
     # ------------------------------------------------------------------ #
-
-    def effective_execution(self, unit: RunUnit) -> ExecutionSpec:
-        """The unit's execution config with scheduler overrides applied."""
-        execution = unit.spec.execution
-        if self._overrides:
-            execution = replace(execution, **self._overrides)
-        return execution
 
     def run(
         self, units: Sequence[RunUnit], cached: dict[str, dict]
     ) -> SchedulerOutcome:
         """Resolve every unit not in ``cached`` into a fresh record.
 
-        Units are grouped by effective execution config (one backend
+        Units are grouped by their spec's execution config (one backend
         instance per group, so ``execution.*`` sweep axes compare
         backends within one fleet); each group runs its halving plan —
         or a single substrate-ordered batch when halving is off.  Every
@@ -209,7 +176,7 @@ class FleetScheduler:
         outcome = SchedulerOutcome()
         groups: dict[ExecutionSpec, list[RunUnit]] = {}
         for unit in units:
-            groups.setdefault(self.effective_execution(unit), []).append(unit)
+            groups.setdefault(unit.spec.execution, []).append(unit)
         start = time.monotonic()
         for execution, group in groups.items():
             deadline = (
@@ -288,7 +255,7 @@ class FleetScheduler:
         if not units:
             return
         source = deque(
-            RunPayload.from_unit(unit, telemetry=execution.telemetry)
+            RunPayload.from_unit(unit)
             for unit in sorted(units, key=substrate_affinity)
         )
         by_id = {payload.run_id: payload for payload in source}
@@ -466,10 +433,10 @@ class FleetScheduler:
                     and unit.run_id not in cached
                     and unit.run_id not in outcome.fresh
                 ):
-                    payload = RunPayload.from_unit(
-                        unit, telemetry=execution.telemetry
-                    )
                     self._emit(
-                        unscheduled_record(payload, execution.total_budget_s),
+                        unscheduled_record(
+                            RunPayload.from_unit(unit),
+                            execution.total_budget_s,
+                        ),
                         outcome,
                     )

@@ -33,9 +33,9 @@ from pathlib import Path
 
 import yaml
 
-from repro.errors import ModelError, SpecError
+from repro.errors import ModelError, SimulationError, SpecError
 from repro.netsim.sites import known_region_names, known_site_names, region
-from repro.runtime.faults import FAULT_KINDS, FAULT_POLICIES
+from repro.runtime.faults import FAULT_KINDS, FAULT_POLICIES, Fault
 from repro.runtime.traces import HOLDING_KINDS, PROCESS_KINDS, SessionProcess
 
 WORKLOAD_KINDS: tuple[str, ...] = ("prototype", "scenario")
@@ -563,34 +563,18 @@ class FaultWindow:
 
     def __post_init__(self) -> None:
         _coerce_declared_scalars(self)
-        if self.kind not in FAULT_KINDS:
-            raise SpecError(
-                f"faults.windows kind {self.kind!r} is unknown; "
-                f"choose from {FAULT_KINDS}"
+        # Delegate the window rules to the fault layer itself (one
+        # validator, no drift), as TraceSpec does with SessionProcess.
+        try:
+            Fault(
+                kind=self.kind,
+                site=self.site,
+                start_s=self.start_s,
+                end_s=self.end_s,
+                severity=self.severity,
             )
-        if self.site < 0:
-            raise SpecError(
-                f"faults.windows site must be >= 0, got {self.site}"
-            )
-        if self.start_s < 0:
-            raise SpecError(
-                f"faults.windows start_s must be >= 0, got {self.start_s}"
-            )
-        if self.end_s <= self.start_s:
-            raise SpecError(
-                f"faults.windows needs end_s > start_s, got "
-                f"[{self.start_s}, {self.end_s}]"
-            )
-        if self.kind == "capacity" and not 0.0 < self.severity <= 1.0:
-            raise SpecError(
-                f"faults.windows capacity severity must be in (0, 1], "
-                f"got {self.severity}"
-            )
-        if self.kind == "latency" and self.severity <= 0.0:
-            raise SpecError(
-                f"faults.windows latency severity must be > 0, "
-                f"got {self.severity}"
-            )
+        except SimulationError as error:
+            raise SpecError(f"faults.windows: {error}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
-"""Shared fixtures: canonical small conferences used across the suite."""
+"""Shared fixtures: canonical small conferences used across the suite,
+and the spec-level execution edit fleet tests run through."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +21,15 @@ from repro.workloads.motivating import motivating_conference
 from repro.workloads.prototype import prototype_conference
 from repro.workloads.scenarios import ScenarioParams, scenario_conference
 from repro.workloads.toy import toy_conference
+
+
+def with_execution(spec, **fields):
+    """``spec`` with ``fields`` replaced in its ``execution:`` section —
+    the spec edit the CLI's ``--workers``/``--backend``/``--budget``/
+    ``--total-budget``/``--telemetry`` flags make; the edited section
+    validates like a parsed one."""
+    return replace(spec, execution=replace(spec.execution, **fields))
+
 
 #: Hand-checkable delay matrices used by the two-user fixtures.
 PAIR_D = np.array([[0.0, 20.0], [20.0, 0.0]])

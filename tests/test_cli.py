@@ -238,8 +238,7 @@ simulation:
         assert main(["fleet", "run", str(tmp_path)]) == 2
         assert "neither a spec file nor a library spec" in capsys.readouterr().err
 
-    def _run_small_fleet(self, tmp_path, name, *overrides):
-        out_dir = tmp_path / name
+    def _small_fleet_argv(self, out_dir, *overrides, flags=()):
         argv = [
             "fleet",
             "run",
@@ -253,8 +252,98 @@ simulation:
         ]
         for override in overrides:
             argv += ["--set", override]
+        return argv + list(flags)
+
+    def _run_small_fleet(self, tmp_path, name, *overrides, flags=()):
+        out_dir = tmp_path / name
+        argv = self._small_fleet_argv(out_dir, *overrides, flags=flags)
         assert main(argv) == 0
         return out_dir
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--budget", "inf", "must be finite and >= 0"),
+            ("--total-budget", "inf", "must be finite and >= 0"),
+            ("--budget", "nan", "NaN is not a valid spec value"),
+        ],
+        ids=["budget-inf", "total-budget-inf", "budget-nan"],
+    )
+    def test_fleet_rejected_flag_keeps_the_previous_run(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        """An execution flag the spec rejects fails before the run
+        directory is touched: a ``--no-resume`` rerun that exits 2
+        leaves the previous run's records and stored spec as they
+        were."""
+        out_dir = self._run_small_fleet(tmp_path, "run")
+        results = (out_dir / "results.jsonl").read_bytes()
+        stored = (out_dir / "spec.yaml").read_bytes()
+        capsys.readouterr()
+        argv = self._small_fleet_argv(
+            out_dir,
+            "simulation.duration_s=5",
+            flags=("--no-resume", flag, value),
+        )
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert (out_dir / "results.jsonl").read_bytes() == results
+        assert (out_dir / "spec.yaml").read_bytes() == stored
+
+    def test_fleet_execution_axis_beats_the_backend_flag(self, tmp_path):
+        """``--backend`` edits the base spec, so an ``execution.backend``
+        axis overrides it like any axis overrides its base value: the
+        pool-labelled unit runs on the pool, and the stored spec keeps
+        the flag's value."""
+        from repro.analysis.report import load_fleet_run
+        from repro.telemetry import load_run_telemetry
+
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(self.SPEC_YAML)
+        out_dir = tmp_path / "out"
+        argv = ["fleet", "sweep", str(spec_path), "--out", str(out_dir)]
+        argv += ["--backend", "serial", "--telemetry"]
+        argv += ["--axis", "execution.backend=serial,pool"]
+        assert main(argv) == 0
+        run = load_fleet_run(out_dir)
+        assert [r["axes"]["execution.backend"] for r in run.records] == [
+            "serial",
+            "pool",
+        ]
+        counters = load_run_telemetry(out_dir).fleet["counters"]
+        assert counters.get("pool.units") == 1
+        assert run.spec.execution.backend == "serial"
+
+    def test_fleet_flags_are_stored_in_the_spec(self, tmp_path, capsys):
+        """The execution flags are spec edits: ``spec.yaml`` records
+        them, so the report's spec diff tells apart two runs that
+        differ only in ``--workers``."""
+        from repro.analysis.report import (
+            load_fleet_run,
+            load_fleet_runs,
+            spec_diff,
+        )
+
+        flags = ("--backend", "pool", "--budget", "60", "--telemetry")
+        two = self._run_small_fleet(
+            tmp_path, "two", flags=("--workers", "2", *flags)
+        )
+        one = self._run_small_fleet(
+            tmp_path, "one", flags=("--workers", "1", *flags)
+        )
+        execution = load_fleet_run(two).spec.execution
+        assert execution.workers == 2
+        assert execution.backend == "pool"
+        assert execution.unit_timeout_s == 60.0
+        assert execution.telemetry is True
+        assert spec_diff(load_fleet_runs([two, one])) == [
+            ("execution.workers", [2, 1])
+        ]
+        capsys.readouterr()
+        assert main(["fleet", "report", str(two), "--compare", str(one)]) == 0
+        out = capsys.readouterr().out
+        assert "spec diff" in out
+        assert "execution.workers" in out
 
     def test_fleet_report_compare_emits_all_artifacts(self, tmp_path, capsys):
         base = self._run_small_fleet(tmp_path, "base")

@@ -8,10 +8,7 @@ import shlex
 import sys
 import textwrap
 
-import pytest
-
 from repro.analysis.report import canonical_results_digest
-from repro.errors import SpecError
 from repro.fleet.backends import (
     PoolBackend,
     RunPayload,
@@ -28,6 +25,7 @@ from repro.fleet.spec import (
     SweepSpec,
     WorkloadSpec,
 )
+from tests.conftest import with_execution
 
 
 def golden_spec() -> RunSpec:
@@ -78,20 +76,17 @@ class TestBackendEquivalence:
         a localhost inventory agree bit-for-bit on the golden spec's
         results.jsonl (canonical form, i.e. modulo the nondeterministic
         wall_time_s)."""
-        with_hosts = golden_spec().to_dict()
-        with_hosts["execution"]["backend"] = "pool"
-        with_hosts["execution"]["hosts"] = ["localhost", "127.0.0.1"]
+        hosts = ("localhost", "127.0.0.1")
         digests = {}
-        for label, backend, workers, spec in (
-            ("serial", "serial", 1, golden_spec()),
-            ("local", "local", 2, golden_spec()),
-            ("pool", "pool", 2, golden_spec()),
-            ("hosts", None, 1, RunSpec.from_dict(with_hosts)),
+        for label, fields in (
+            ("serial", {"backend": "serial"}),
+            ("local", {"backend": "local", "workers": 2}),
+            ("pool", {"backend": "pool", "workers": 2}),
+            ("hosts", {"backend": "pool", "hosts": hosts}),
         ):
             out = tmp_path / label
-            result = FleetOrchestrator(
-                out, workers=workers, backend=backend
-            ).run(spec)
+            spec = with_execution(golden_spec(), **fields)
+            result = FleetOrchestrator(out).run(spec)
             assert result.executed == 4 and result.failed == 0
             digests[label] = canonical_results_digest(out)
         assert len(set(digests.values())) == 1, digests
@@ -99,8 +94,9 @@ class TestBackendEquivalence:
     def test_local_default_path_byte_stable_across_runs(self, tmp_path):
         """Two cold runs of the default parallel path (``local`` with 2
         workers, which resolves to the pool) digest identically."""
-        first = FleetOrchestrator(tmp_path / "a", workers=2).run(golden_spec())
-        second = FleetOrchestrator(tmp_path / "b", workers=2).run(golden_spec())
+        spec = with_execution(golden_spec(), workers=2)
+        first = FleetOrchestrator(tmp_path / "a").run(spec)
+        second = FleetOrchestrator(tmp_path / "b").run(spec)
         assert first.failed == second.failed == 0
         assert canonical_results_digest(
             tmp_path / "a"
@@ -115,28 +111,23 @@ class TestBackendEquivalence:
         assert set(wire) == {"run_id", "spec", "axes", "seed", "telemetry"}
 
     def test_create_backend_registry(self):
-        assert isinstance(create_backend("serial"), SerialBackend)
-        assert isinstance(create_backend("pool", workers=2), PoolBackend)
-        for removed in ("cluster", "subprocess", "remote"):
-            with pytest.raises(SpecError, match="unknown execution backend"):
-                create_backend(removed)
+        serial = create_backend(ExecutionSpec(backend="serial"))
+        assert isinstance(serial, SerialBackend)
+        pool = create_backend(ExecutionSpec(backend="pool", workers=2))
+        assert isinstance(pool, PoolBackend) and pool.workers == 2
 
     def test_local_rule(self):
         """``local`` is a rule, not a backend: in-process for at most
         one worker without a budget, the pool whenever units run in
         parallel or must be killable."""
-        assert isinstance(create_backend("local", workers=0), SerialBackend)
-        assert isinstance(create_backend("local", workers=1), SerialBackend)
-        pool = create_backend("local", workers=2)
+        for workers in (0, 1):
+            serial = create_backend(ExecutionSpec(workers=workers))
+            assert isinstance(serial, SerialBackend)
+        pool = create_backend(ExecutionSpec(workers=2))
         assert isinstance(pool, PoolBackend) and pool.workers == 2
         budgeted = ExecutionSpec(unit_timeout_s=30.0, worker_cmd="w {host}")
-        pool = create_backend("local", workers=1, execution=budgeted)
+        pool = create_backend(budgeted)
         assert isinstance(pool, PoolBackend) and pool.worker_cmd == "w {host}"
-
-    def test_unknown_backend_rejected_by_orchestrator(self, tmp_path):
-        for removed in ("cluster", "subprocess", "remote"):
-            with pytest.raises(SpecError, match="backend"):
-                FleetOrchestrator(tmp_path, backend=removed)
 
 
 class TestPoolWorkerEnvironment:

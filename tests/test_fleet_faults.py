@@ -23,6 +23,7 @@ from repro.fleet.spec import (
     WorkloadSpec,
     spec_hash,
 )
+from tests.conftest import with_execution
 
 
 def outage_spec(**kwargs) -> RunSpec:
@@ -82,6 +83,39 @@ class TestFaultsSpecValidation:
     def test_policy_validated(self):
         with pytest.raises(SpecError, match="policy"):
             FaultsSpec(policy="hope")
+
+    @pytest.mark.parametrize(
+        "window,rule",
+        [
+            ({"kind": "meteor"}, "fault kind 'meteor' is unknown"),
+            ({"site": -1}, "fault site must be >= 0"),
+            ({"start_s": -1.0}, "fault start must be >= 0"),
+            ({"start_s": 4.0, "end_s": 4.0}, "must have end > start"),
+            (
+                {"kind": "capacity", "severity": 1.5},
+                "capacity fault severity must be in (0, 1]",
+            ),
+            (
+                {"kind": "latency", "severity": 0.0},
+                "latency fault severity must be > 0",
+            ),
+        ],
+        ids=["kind", "site", "start", "end", "capacity", "latency"],
+    )
+    def test_window_rules_are_the_fault_layer_rules(self, window, rule):
+        """A spec window is checked by the runtime ``Fault`` itself, and
+        the error names the spec section it came from."""
+        data = plain_spec().to_dict()
+        data["faults"] = {
+            "windows": [
+                {"kind": "outage", "site": 0, "start_s": 1.0, "end_s": 2.0}
+                | window
+            ]
+        }
+        with pytest.raises(SpecError) as raised:
+            RunSpec.from_dict(data)
+        assert str(raised.value).startswith("faults.windows: ")
+        assert rule in str(raised.value)
 
     def test_chaos_severity_above_one_needs_latency_only(self):
         ChaosSpec(rate_per_s=0.1, severity=2.0, kinds=("latency",))
@@ -194,9 +228,11 @@ class TestByteStability:
         an empty `faults:` section changes nothing on disk."""
         bare = plain_spec()
         with_section = RunSpec.from_dict({**bare.to_dict(), "faults": {}})
-        FleetOrchestrator(tmp_path / "bare", backend="serial").run(bare)
-        FleetOrchestrator(tmp_path / "empty", backend="serial").run(
-            with_section
+        FleetOrchestrator(tmp_path / "bare").run(
+            with_execution(bare, backend="serial")
+        )
+        FleetOrchestrator(tmp_path / "empty").run(
+            with_execution(with_section, backend="serial")
         )
         assert canonical_results_digest(
             tmp_path / "bare"
@@ -216,9 +252,9 @@ class TestByteStability:
             ("pool", 2),
         ):
             out = tmp_path / backend
-            result = FleetOrchestrator(
-                out, workers=workers, backend=backend
-            ).run(outage_spec())
+            result = FleetOrchestrator(out).run(
+                with_execution(outage_spec(), workers=workers, backend=backend)
+            )
             assert result.executed == 2 and result.failed == 0
             digests[backend] = canonical_results_digest(out)
         assert len(set(digests.values())) == 1, digests
@@ -235,18 +271,19 @@ class TestByteStability:
 
     def test_resume_cache_replays_faulted_units(self, tmp_path):
         out = tmp_path / "run"
-        first = FleetOrchestrator(out, backend="serial").run(outage_spec())
+        spec = with_execution(outage_spec(), backend="serial")
+        first = FleetOrchestrator(out).run(spec)
         assert first.executed == 2
-        second = FleetOrchestrator(out, backend="serial", resume=True).run(
-            outage_spec()
-        )
+        second = FleetOrchestrator(out, resume=True).run(spec)
         assert second.executed == 0 and second.skipped == 2
 
     def test_report_renders_resilience_summary(self, tmp_path):
         from repro.analysis.report import load_fleet_run, render_run_report
 
         out = tmp_path / "run"
-        FleetOrchestrator(out, backend="serial").run(outage_spec())
+        FleetOrchestrator(out).run(
+            with_execution(outage_spec(), backend="serial")
+        )
         report = render_run_report(load_fleet_run(out))
         assert "resilience summary" in report
         assert "faults_injected" in report

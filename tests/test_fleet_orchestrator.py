@@ -21,6 +21,7 @@ from repro.fleet.spec import (
     dump_spec,
     load_spec,
 )
+from tests.conftest import with_execution
 
 FAST_SIM = SimulationSpec(duration_s=8.0, hop_interval_mean_s=4.0, seed=3)
 
@@ -73,10 +74,10 @@ class TestOrchestrator:
         summary -> rerun hits the cache."""
         spec_path = tmp_path / "sweep.yaml"
         dump_spec(sweep_spec(replicates=2), spec_path)
-        spec = load_spec(spec_path)
+        spec = with_execution(load_spec(spec_path), workers=2)
 
         out = tmp_path / "out"
-        result = FleetOrchestrator(out, workers=2).run(spec)
+        result = FleetOrchestrator(out).run(spec)
         assert result.executed == 8 and result.skipped == 0
         assert result.failed == 0
 
@@ -95,14 +96,18 @@ class TestOrchestrator:
             assert "  2  " in line or line.split()[2] == "2"
 
         # Unchanged spec: everything cached, nothing re-executed.
-        again = FleetOrchestrator(out, workers=2).run(spec)
+        again = FleetOrchestrator(out).run(spec)
         assert again.executed == 0 and again.skipped == 8
         assert again.records == records
 
     def test_serial_and_pooled_agree(self, tmp_path):
         spec = sweep_spec(replicates=1)
-        serial = FleetOrchestrator(tmp_path / "serial", workers=0).run(spec)
-        pooled = FleetOrchestrator(tmp_path / "pooled", workers=2).run(spec)
+        serial = FleetOrchestrator(tmp_path / "serial").run(
+            with_execution(spec, workers=0)
+        )
+        pooled = FleetOrchestrator(tmp_path / "pooled").run(
+            with_execution(spec, workers=2)
+        )
         strip = lambda records: [
             {k: v for k, v in record.items() if k != "wall_time_s"}
             for record in records
@@ -182,10 +187,6 @@ class TestOrchestrator:
     def test_missing_results_dir_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="no fleet results"):
             load_records(tmp_path / "nothing")
-
-    def test_negative_workers_rejected(self, tmp_path):
-        with pytest.raises(SpecError, match="workers"):
-            FleetOrchestrator(tmp_path, workers=-1)
 
 
 class TestAggregate:

@@ -40,6 +40,7 @@ from repro.fleet.spec import (
     SweepSpec,
     WorkloadSpec,
 )
+from tests.conftest import with_execution
 
 
 def golden_spec() -> RunSpec:
@@ -165,10 +166,10 @@ class TestHostInventory:
         data = golden_spec().to_dict()
         data["execution"]["backend"] = "pool"
         data["execution"]["hosts"] = ["localhost", "127.0.0.1"]
-        spec = RunSpec.from_dict(data)
+        spec = with_execution(RunSpec.from_dict(data), workers=1)
         out = tmp_path / "hosts"
         with tele.collect() as collector:
-            result = FleetOrchestrator(out, workers=1).run(spec)
+            result = FleetOrchestrator(out).run(spec)
         assert result.executed == 4 and result.failed == 0
         counters = collector.counters_dict()
         per_host = [
@@ -178,7 +179,9 @@ class TestHostInventory:
         assert min(per_host) >= 1 and sum(per_host) == 4
         assert "pool.quarantines" not in counters
         serial_out = tmp_path / "serial"
-        FleetOrchestrator(serial_out, backend="serial").run(golden_spec())
+        FleetOrchestrator(serial_out).run(
+            with_execution(golden_spec(), backend="serial")
+        )
         assert canonical_results_digest(out) == canonical_results_digest(
             serial_out
         )
@@ -335,14 +338,13 @@ class TestPoolFailurePaths:
         monkeypatch.setattr(
             scheduler_module,
             "create_backend",
-            lambda kind, workers=1, **_: PoolBackend(
-                workers=workers, worker_cmd=worker_cmd
+            lambda execution: PoolBackend(
+                workers=execution.workers, worker_cmd=worker_cmd
             ),
         )
         out = tmp_path / "out"
-        result = FleetOrchestrator(
-            out, backend="pool", max_retries=1
-        ).run(self.crash_spec())
+        spec = with_execution(self.crash_spec(), backend="pool", max_retries=1)
+        result = FleetOrchestrator(out).run(spec)
         assert result.failed == 1
         error = [r for r in result.records if r["status"] == "error"][0]
         assert "WorkerCrash" in error["error"]
@@ -350,7 +352,7 @@ class TestPoolFailurePaths:
         assert error["attempts"] == 2  # first try + one retry
 
         monkeypatch.undo()
-        retry = FleetOrchestrator(out, backend="pool").run(self.crash_spec())
+        retry = FleetOrchestrator(out).run(spec)
         assert retry.executed == 1 and retry.skipped == 1
         assert retry.failed == 0
 
@@ -395,8 +397,8 @@ def _pool_factory(monkeypatch, **pool_kwargs) -> list[PoolBackend]:
 
     created: list[PoolBackend] = []
 
-    def make_pool(kind, workers=1, **_):
-        created.append(PoolBackend(workers=workers, **pool_kwargs))
+    def make_pool(execution):
+        created.append(PoolBackend(workers=execution.workers, **pool_kwargs))
         return created[-1]
 
     monkeypatch.setattr(scheduler_module, "create_backend", make_pool)
@@ -419,9 +421,11 @@ class TestQuarantine:
         )
         out = tmp_path / "out"
         with tele.collect() as collector:
-            result = FleetOrchestrator(
-                out, backend="pool", workers=1, max_retries=3
-            ).run(golden_spec())
+            result = FleetOrchestrator(out).run(
+                with_execution(
+                    golden_spec(), backend="pool", workers=1, max_retries=3
+                )
+            )
         assert result.failed == 0
         assert result.executed == 4
         counters = collector.counters_dict()
@@ -431,7 +435,9 @@ class TestQuarantine:
             "scheduler.retries", 0
         ) - counters["pool.host.bad.units"]
         serial_out = tmp_path / "serial"
-        FleetOrchestrator(serial_out, backend="serial").run(golden_spec())
+        FleetOrchestrator(serial_out).run(
+            with_execution(golden_spec(), backend="serial")
+        )
         assert canonical_results_digest(out) == canonical_results_digest(
             serial_out
         )
@@ -468,9 +474,11 @@ class TestQuarantine:
 
         monkeypatch.setattr(select, "select", select_after_bad_exits)
         with tele.collect() as collector:
-            result = FleetOrchestrator(
-                tmp_path / "out", backend="pool", workers=2, max_retries=1
-            ).run(golden_spec())
+            result = FleetOrchestrator(tmp_path / "out").run(
+                with_execution(
+                    golden_spec(), backend="pool", workers=2, max_retries=1
+                )
+            )
         assert result.failed == 0 and result.executed == 4
         counters = collector.counters_dict()
         assert counters["pool.quarantines"] == 1
@@ -497,9 +505,11 @@ class TestQuarantine:
         )
         started = time.monotonic()
         with tele.collect() as collector:
-            result = FleetOrchestrator(
-                tmp_path / "out", backend="pool", workers=1, max_retries=2
-            ).run(golden_spec())
+            result = FleetOrchestrator(tmp_path / "out").run(
+                with_execution(
+                    golden_spec(), backend="pool", workers=1, max_retries=2
+                )
+            )
         assert time.monotonic() - started < 60
         assert [r["status"] for r in result.records] == ["error"] * 4
         assert all(r["attempts"] == 3 for r in result.records)
@@ -532,13 +542,13 @@ class TestWorkerCmdTemplate:
 
 class TestBackendFactory:
     def test_create_pool_with_hosts(self):
-        pool = create_backend("pool", workers=2)
+        pool = create_backend(ExecutionSpec(backend="pool", workers=2))
         assert isinstance(pool, PoolBackend) and pool.workers == 2
         assert pool.hosts == ()
         execution = ExecutionSpec(
             backend="pool", hosts=("a", "b"), quarantine_after=2
         )
-        pool = create_backend("pool", workers=1, execution=execution)
+        pool = create_backend(execution)
         assert isinstance(pool, PoolBackend)
         assert pool.hosts == ("a", "b")
         assert pool.quarantine_after == 2
@@ -589,9 +599,11 @@ class TestDispatchStats:
         from repro.cli import main
 
         out = tmp_path / "out"
-        FleetOrchestrator(
-            out, workers=2, backend="pool", telemetry=True
-        ).run(golden_spec())
+        FleetOrchestrator(out).run(
+            with_execution(
+                golden_spec(), workers=2, backend="pool", telemetry=True
+            )
+        )
         assert main(["fleet", "report", str(out), "--telemetry"]) == 0
         text = capsys.readouterr().out
         assert "dispatch stats" in text

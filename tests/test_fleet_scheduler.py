@@ -7,7 +7,6 @@ scheduling determinism."""
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro.fleet.spec import (
     WorkloadSpec,
     spec_hash,
 )
+from tests.conftest import with_execution
 
 FAST_SIM = SimulationSpec(duration_s=8.0, hop_interval_mean_s=4.0, seed=3)
 
@@ -361,15 +361,6 @@ class TestSchedulerMechanics:
         assert seeds == sorted(seeds)
         assert ordered != units  # matrix order (7, 5, 9) was regrouped
 
-    def test_scheduler_overrides_trump_spec(self):
-        scheduler = FleetScheduler(backend="serial", workers=7)
-        unit = expand_matrix(grid_spec())[0]
-        effective = scheduler.effective_execution(unit)
-        assert effective.backend == "serial"
-        assert effective.workers == 7
-        # Un-overridden fields defer to the unit's spec.
-        assert effective.unit_timeout_s == 0.0
-
     def test_score_treats_missing_metric_as_worst(self):
         scheduler = FleetScheduler()
         from repro.fleet.scheduler import SchedulerOutcome
@@ -507,17 +498,12 @@ class TestHalvingRobustness:
             replicates=replicates,
         )
         reference = tmp_path / "reference"
-        FleetOrchestrator(reference, backend="serial").run(spec)
-        if hosts:
-            spec = replace(
-                spec,
-                execution=replace(
-                    spec.execution, backend=backend, hosts=hosts
-                ),
-            )
-        result = FleetOrchestrator(
-            tmp_path / "out", backend=backend, workers=2
-        ).run(spec)
+        FleetOrchestrator(reference).run(
+            with_execution(spec, backend="serial")
+        )
+        result = FleetOrchestrator(tmp_path / "out").run(
+            with_execution(spec, backend=backend, hosts=hosts, workers=2)
+        )
         assert result.executed == executed
         assert result.executed + result.pruned == 4 * replicates
         assert canonical_results_digest(
@@ -531,7 +517,9 @@ class TestHalvingRobustness:
         from repro.telemetry import load_run_telemetry
 
         out = tmp_path / "out"
-        FleetOrchestrator(out, telemetry=True).run(self.halved_spec())
+        FleetOrchestrator(out).run(
+            with_execution(self.halved_spec(), telemetry=True)
+        )
         counters = load_run_telemetry(out).fleet["counters"]
         # 4 points, keep 2: the other 2 points' second replicates.
         assert counters["scheduler.pruned"] == 2
@@ -546,7 +534,7 @@ class TestHalvingRobustness:
         monkeypatch.setattr(
             scheduler_module,
             "create_backend",
-            lambda kind, workers=1, **_: _PoisonMetricBackend(poison),
+            lambda execution: _PoisonMetricBackend(poison),
         )
         result = FleetOrchestrator(tmp_path / "out").run(self.halved_spec())
         pruned_betas = {
@@ -565,10 +553,10 @@ class TestHalvingRobustness:
         monkeypatch.setattr(
             scheduler_module,
             "create_backend",
-            lambda kind, workers=1, **_: _AlwaysCrashBackend(crash),
+            lambda execution: _AlwaysCrashBackend(crash),
         )
-        result = FleetOrchestrator(tmp_path / "out", max_retries=1).run(
-            self.halved_spec()
+        result = FleetOrchestrator(tmp_path / "out").run(
+            with_execution(self.halved_spec(), max_retries=1)
         )
         by_status = {}
         for record in result.records:
@@ -579,12 +567,15 @@ class TestHalvingRobustness:
         assert 100 in pruned_betas
 
 
+def starved_spec() -> RunSpec:
+    """The grid on the serial backend with a fleet budget spent at once."""
+    return with_execution(grid_spec(), backend="serial", total_budget_s=1e-9)
+
+
 class TestFleetBudget:
     def test_spent_budget_unschedules_everything(self, tmp_path):
         out = tmp_path / "out"
-        result = FleetOrchestrator(
-            out, backend="serial", total_budget_s=1e-9
-        ).run(grid_spec())
+        result = FleetOrchestrator(out).run(starved_spec())
         assert result.executed == 0 and result.failed == 0
         assert result.unscheduled == len(result.records) == 8
         for record in result.records:
@@ -594,9 +585,7 @@ class TestFleetBudget:
             assert "total_budget_s" in record["error"]
 
     def test_unscheduled_is_not_failed_in_report(self, tmp_path):
-        result = FleetOrchestrator(
-            tmp_path / "out", backend="serial", total_budget_s=1e-9
-        ).run(grid_spec())
+        result = FleetOrchestrator(tmp_path / "out").run(starved_spec())
         headline = result.format_report().splitlines()[0]
         assert "8 unscheduled" in headline
         assert "0 failed" in headline
@@ -611,22 +600,25 @@ class TestFleetBudget:
         """Unscheduled records are never cached, so rerunning without
         the budget executes exactly the starved units."""
         out = tmp_path / "out"
-        starved = FleetOrchestrator(
-            out, backend="serial", total_budget_s=1e-9
-        ).run(grid_spec())
+        starved = FleetOrchestrator(out).run(starved_spec())
         assert starved.unscheduled == 8
-        completed = FleetOrchestrator(out, backend="serial").run(grid_spec())
+        completed = FleetOrchestrator(out).run(
+            with_execution(grid_spec(), backend="serial")
+        )
         assert completed.executed == 8 and completed.unscheduled == 0
         assert all(r["status"] == "ok" for r in completed.records)
 
     def test_ample_budget_changes_nothing(self, tmp_path):
         out = tmp_path / "out"
-        result = FleetOrchestrator(
-            out, backend="serial", total_budget_s=3600.0
-        ).run(grid_spec())
+        ample = with_execution(
+            grid_spec(), backend="serial", total_budget_s=3600.0
+        )
+        result = FleetOrchestrator(out).run(ample)
         assert result.executed == 8 and result.unscheduled == 0
         reference = tmp_path / "reference"
-        FleetOrchestrator(reference, backend="serial").run(grid_spec())
+        FleetOrchestrator(reference).run(
+            with_execution(grid_spec(), backend="serial")
+        )
         assert canonical_results_digest(out) == canonical_results_digest(
             reference
         )
@@ -650,8 +642,8 @@ class TestFleetBudget:
             execution=ExecutionSpec(total_budget_s=1e-9)
         )
         assert RunSpec.from_yaml(spec.to_yaml()) == spec
-        # The orchestrator override replaces the spec's budget.
-        result = FleetOrchestrator(
-            tmp_path / "out", backend="serial", total_budget_s=3600.0
-        ).run(spec)
+        # A flag's edit (``--total-budget 3600``) replaces the budget.
+        result = FleetOrchestrator(tmp_path / "out").run(
+            with_execution(spec, backend="serial", total_budget_s=3600.0)
+        )
         assert result.executed == 8 and result.unscheduled == 0

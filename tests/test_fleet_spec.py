@@ -23,6 +23,7 @@ from repro.fleet.spec import (
     load_spec,
     spec_hash,
 )
+from tests.conftest import with_execution
 
 
 @st.composite
@@ -402,7 +403,8 @@ class TestYamlLoader:
         spec = load_library_spec("prototype_smoke").with_overrides(
             {"simulation.duration_s": 4.0, "workload.num_sessions": 2}
         )
-        FleetOrchestrator(tmp_path, backend="serial").run(spec)
+        spec = with_execution(spec, backend="serial")
+        FleetOrchestrator(tmp_path).run(spec)
         text = (tmp_path / "spec.yaml").read_text(encoding="utf-8")
         parsed = self.both(text)
         assert all(value == parsed[0] for value in parsed)

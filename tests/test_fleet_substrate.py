@@ -17,6 +17,7 @@ import pytest
 
 from repro.fleet.compile import compile_spec, substrate_cache_info
 from repro.fleet.orchestrator import FleetOrchestrator, expand_matrix
+from repro.fleet.scheduler import substrate_affinity
 from repro.fleet.spec import (
     AxisSpec,
     RunSpec,
@@ -32,6 +33,7 @@ from repro.netsim.latency import (
     substrate_matrices,
 )
 from repro.netsim.sites import region, sample_user_sites
+from tests.conftest import with_execution
 
 
 @pytest.fixture(autouse=True)
@@ -257,12 +259,12 @@ def _normalized_lines(path):
 
 class TestOrchestratorWithCache:
     def test_warm_cache_runs_are_byte_identical(self, tmp_path):
-        spec = sweep_spec(replicates=2)
-        cold_result = FleetOrchestrator(tmp_path / "cold", workers=1).run(spec)
+        spec = with_execution(sweep_spec(replicates=2), workers=1)
+        cold_result = FleetOrchestrator(tmp_path / "cold").run(spec)
         assert cold_result.failed == 0
         # Substrate cache is now warm; a second fleet must produce
         # byte-identical solver output.
-        warm_result = FleetOrchestrator(tmp_path / "warm", workers=1).run(spec)
+        warm_result = FleetOrchestrator(tmp_path / "warm").run(spec)
         assert warm_result.failed == 0
         cold_lines = _normalized_lines(cold_result.results_path)
         warm_lines = _normalized_lines(warm_result.results_path)
@@ -282,7 +284,7 @@ class TestOrchestratorWithCache:
             ),
         )
         units = expand_matrix(spec)
-        ordered = sorted(units, key=FleetOrchestrator._substrate_affinity)
+        ordered = sorted(units, key=substrate_affinity)
         seeds = [unit.seed for unit in ordered]
         # Same-substrate (same seed) units are adjacent after ordering.
         assert seeds == sorted(seeds)

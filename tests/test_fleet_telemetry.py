@@ -35,6 +35,7 @@ from repro.fleet.spec import (
 )
 from repro.netsim.latency import clear_substrate_cache
 from repro.telemetry import load_run_telemetry, span_names
+from tests.conftest import with_execution
 
 
 def golden_spec() -> RunSpec:
@@ -62,9 +63,10 @@ UNIT_SPANS = {
 
 
 def run_fleet(out_dir, telemetry: bool, backend: str = "serial", workers=1):
-    result = FleetOrchestrator(
-        out_dir, workers=workers, backend=backend, telemetry=telemetry or None
-    ).run(golden_spec())
+    spec = with_execution(
+        golden_spec(), workers=workers, backend=backend, telemetry=telemetry
+    )
+    result = FleetOrchestrator(out_dir).run(spec)
     assert result.executed == 4 and result.failed == 0
     return result
 
@@ -116,14 +118,37 @@ class TestEnabledPath:
         profiles of the first run — cached run ids carry their
         telemetry records forward like their result records."""
         run_fleet(tmp_path / "run", telemetry=True)
-        result = FleetOrchestrator(
-            tmp_path / "run", workers=1, backend="serial", telemetry=True
-        ).run(golden_spec())
+        result = FleetOrchestrator(tmp_path / "run").run(
+            with_execution(
+                golden_spec(), workers=1, backend="serial", telemetry=True
+            )
+        )
         assert result.executed == 0 and result.skipped == 4
         telemetry = load_run_telemetry(tmp_path / "run")
         assert len(telemetry.units) == 4
         for record in telemetry.units.values():
             assert UNIT_SPANS <= span_names(record)
+
+    def test_telemetry_axis_writes_the_units_span_trees(self, tmp_path):
+        """An ``execution.telemetry`` axis turns telemetry on for its
+        units although the base spec leaves it off: their span trees
+        land in telemetry.jsonl beside the fleet's."""
+        data = golden_spec().to_dict()
+        data["sweep"]["axes"].append(
+            {"path": "execution.telemetry", "values": [False, True]}
+        )
+        result = FleetOrchestrator(tmp_path / "run").run(
+            RunSpec.from_dict(data)
+        )
+        assert result.executed == 8 and result.failed == 0
+        traced = {
+            record["run_id"]
+            for record in result.records
+            if record["axes"]["execution.telemetry"]
+        }
+        telemetry = load_run_telemetry(tmp_path / "run")
+        assert len(traced) == 4 and set(telemetry.units) == traced
+        assert "fleet.sweep" in span_names(telemetry.fleet)
 
     @pytest.mark.parametrize("backend,workers", [("local", 2), ("pool", 2)])
     def test_backend_spans_match_serial(self, tmp_path, backend, workers):

@@ -22,6 +22,7 @@ from repro.fleet.orchestrator import FleetOrchestrator, expand_matrix
 from repro.fleet.spec import ChurnSpec, RunSpec, TraceSpec, spec_hash
 from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.traces import SessionProcess, dump_trace
+from tests.conftest import with_execution
 
 TRACE_LIBRARY_SPECS = ("poisson_churn", "bursty_mmpp", "diurnal_cycle")
 
@@ -255,9 +256,9 @@ class TestGoldenTrajectories:
         return RunSpec.from_dict(data)
 
     def test_trace_fleet_results_byte_stable_across_runs(self, tmp_path):
-        spec = self.sweep_spec()
-        first = FleetOrchestrator(tmp_path / "a", workers=1).run(spec)
-        second = FleetOrchestrator(tmp_path / "b", workers=1).run(spec)
+        spec = with_execution(self.sweep_spec(), workers=1)
+        first = FleetOrchestrator(tmp_path / "a").run(spec)
+        second = FleetOrchestrator(tmp_path / "b").run(spec)
         assert first.failed == 0 and second.failed == 0
         assert _normalized_lines(first.results_path) == _normalized_lines(
             second.results_path
@@ -288,10 +289,11 @@ simulation:
   hop_interval_mean_s: 4
 """
         )
+        spec = with_execution(spec, workers=1)
         out = tmp_path / "out"
-        first = FleetOrchestrator(out, workers=1).run(spec)
+        first = FleetOrchestrator(out).run(spec)
         assert (first.executed, first.failed) == (1, 0)
-        cached = FleetOrchestrator(out, workers=1).run(spec)
+        cached = FleetOrchestrator(out).run(spec)
         assert (cached.executed, cached.skipped) == (0, 1)
 
         dump_trace(
@@ -301,7 +303,7 @@ simulation:
             ).trace(12.0),
             trace_path,
         )
-        rerun = FleetOrchestrator(out, workers=1).run(spec)
+        rerun = FleetOrchestrator(out).run(spec)
         assert (rerun.executed, rerun.skipped, rerun.failed) == (1, 0, 0)
         assert rerun.records[0]["run_id"] != first.records[0]["run_id"]
 

@@ -29,6 +29,7 @@ from repro.analysis.report import canonical_results_digest
 from repro.fleet.library import library_spec_names, load_library_spec
 from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.spec import RunSpec
+from tests.conftest import with_execution
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,9 +92,8 @@ def test_library_unit_digest(name, tmp_path):
     data["sweep"] = {"replicates": 1, "axes": []}
     simulation = data["simulation"]
     simulation["duration_s"] = min(simulation["duration_s"], 20)
-    FleetOrchestrator(tmp_path, workers=1, resume=False, backend="serial").run(
-        RunSpec.from_dict(data)
-    )
+    spec = with_execution(RunSpec.from_dict(data), workers=1, backend="serial")
+    FleetOrchestrator(tmp_path, resume=False).run(spec)
     digest = canonical_results_digest(tmp_path)
     assert digest == LIBRARY_DIGESTS[name], f"{name} digest is now {digest}"
 
