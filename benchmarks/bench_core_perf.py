@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.agrank import AgRankConfig, rank_agents
 from repro.core.arrays import arrays_for
-from repro.core.fastpath import ConferenceProfile
+from repro.core.fastpath import ConferenceProfile, profile_for
 from repro.core.markov import MarkovAssignmentSolver, MarkovConfig
 from repro.core.nearest import nearest_assignment
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
@@ -51,7 +51,7 @@ def massive_scenario():
         conference, ObjectiveWeights.normalized_for(conference)
     )
     sids = [session.sid for session in conference.sessions]
-    arrays_for(evaluator.profile).warm(sids)
+    profile_for(conference).warm(sids)
     return conference, evaluator
 
 
@@ -67,10 +67,10 @@ def _hop_solver(evaluator, conference):
 def test_perf_assignment_pass(benchmark, scenario):
     """One-assignment evaluations/sec of the flow-model kernel (usage
     and delay terms of one session), recorded without a floor."""
-    conference, evaluator = scenario
-    arrays = arrays_for(evaluator.profile)
+    conference, _evaluator = scenario
+    arrays = arrays_for(conference)
     assignment = nearest_assignment(conference)
-    arrays.layout(0)
+    profile_for(conference).layout(0)
     benchmark(arrays.evaluate_assignment, assignment, 0)
     benchmark.extra_info["evaluations_per_sec"] = 1.0 / benchmark.stats.stats.mean
 

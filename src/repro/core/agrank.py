@@ -40,7 +40,6 @@ import numpy as np
 from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
-from repro.core.fastpath import profile_for
 from repro.errors import InfeasibleError, SolverError
 from repro.model.conference import Conference
 from repro.model.representation import Representation
@@ -302,7 +301,7 @@ def agrank_assignment(
 
     users = list(session.user_ids)
     option_lists = [ordered_candidates[uid] for uid in users]
-    arrays = arrays_for(profile_for(conference))
+    arrays = arrays_for(conference)
 
     checks = 0
     for combo in itertools.product(*option_lists):

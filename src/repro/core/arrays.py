@@ -56,10 +56,10 @@ The instruction table
 ---------------------
 
 The *static* structure of every session is flattened once into
-parallel numpy index arrays (:class:`SessionLayout`), built from the
-profile's session plans.  :func:`arrays_for` caches them on the
-profile, and nothing here points back at the profile, so they are
-freed with the conference.  Every term of ``mu_klu`` that a session
+parallel numpy index arrays (:class:`~repro.core.fastpath.SessionLayout`),
+which the conference's profile caches and its fault views share;
+:func:`arrays_for` prices them against one conference's D and H.
+Every term of ``mu_klu`` that a session
 can contribute (a ``+= kappa`` into one per-agent slot, guarded by the
 ``max`` / ``nu`` conditions above) becomes one row of a static
 instruction table: the decision row whose agent the contribution
@@ -134,16 +134,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.fastpath import SessionUsage
-from repro.core.neighborhood import KIND_TASK, KIND_USER, Move
+from repro.core.fastpath import (
+    ConferenceProfile,
+    SessionLayout,
+    SessionUsage,
+    profile_for,
+)
+from repro.core.neighborhood import KIND_USER, Move
 from repro.errors import ModelError
+from repro.model.conference import Conference
+from repro.model.topology import Topology
 
 __all__ = [
     "MoveBatch",
     "BatchEvaluation",
     "AssignmentEvaluation",
-    "SessionLayout",
-    "MoveSetLayout",
     "ConferenceArrays",
     "PhiArray",
     "arrays_for",
@@ -245,350 +250,26 @@ def delay_mask(evaluation: BatchEvaluation, dmax_ms: float) -> np.ndarray:
     return ~(evaluation.max_flow_ms > dmax_ms + 1e-9)
 
 
-@dataclass(frozen=True)
-class SessionLayout:
-    """A session's instruction table: all its static structure,
-    flattened to index arrays.
-
-    Decision rows are ordered users-then-pairs, matching the move
-    enumeration of :func:`repro.core.neighborhood.session_moves`.  The
-    heart of the layout is ``all_rows``, the combined instruction table:
-    one gather ``current[all_rows]`` (or ``cols[all_rows]`` for every
-    candidate of a move set at once) yields the agent id behind every
-    usage contribution, flow endpoint and dedup edge.  Its row blocks
-    are, in order (``S`` streams, ``P`` inter-agent contributions, ``G``
-    transcode instructions, ``F`` flows, ``E`` / ``TE`` dedup edges)::
-
-        [0, S)            last-mile download (stream sources)
-        [S, 2S)           last-mile upload (same rows again)
-        [2S, 2S + P)      inter-agent senders  (task / source rows)
-        [2S + P, 2S + 2P) inter-agent receivers (dest / symbol rows)
-        [2S + 2P, n_u)    transcode-count task rows  (n_u = 2S + 2P + G)
-        [n_u, +F)         flow sources
-        [.., +F)          flow destinations
-        [.., +F)          flow middles (task rows; direct flows carry
-                          the source row again)
-        [.., +E), [.., +TE)   guard-edge "a" endpoints (inter, then tc)
-        [.., +E), [.., +TE)   guard-edge "b" endpoints (same order)
-
-    The first ``n_u`` rows feed one ``np.bincount`` whose flattened
-    bins are ``block * (L + 1) + agent``: ``row_offsets`` holds
-    everything but the agent and ``row_weights`` the per-contribution
-    scalars (``1.0`` for the transcode-count block).  The edge blocks
-    interleave "a" and "b" halves so one whole-table comparison
-    evaluates every guard at once: the implicit ``receiver != sender``
-    condition is edge 0 of each inter contribution's ``guard_starts``
-    segment, so a single ``np.bitwise_or.reduceat`` yields the ``P``
-    inter masks followed by the transcode duplicate masks (scattered via
-    ``tc_e_rows``).
-    """
-
-    sid: int
-    uids: np.ndarray
-    pairs: np.ndarray
-    num_users: int
-    #: Combined instruction table (see class docstring) and the block
-    #: sizes carving it into slices.
-    all_rows: np.ndarray
-    num_streams: int
-    num_inter: int
-    num_flows: int
-    num_edges: int
-    num_tc_edges: int
-    num_transcodes: int
-    row_offsets: np.ndarray
-    row_weights: np.ndarray
-    #: Guard segments over the combined edge table: the first ``P``
-    #: segments are the inter contributions (edge 0 is the implicit
-    #: ``receiver != sender``; the rest encode set-dedup first-occurrence
-    #: guards and the group rows' ``dest != source agent`` condition),
-    #: the remaining segments are transcode duplicate guards scattering
-    #: to task rows ``tc_e_rows`` (within-group first occurrence).
-    guard_starts: np.ndarray
-    tc_e_rows: np.ndarray
-    #: Flow metadata, flows sorted by destination: the users bounding
-    #: each flow (indices into ``h``'s user axis) and each flow's row of
-    #: the zero-padded sigma matrix (direct flows point at the zero
-    #: row).
-    f_src_uids: np.ndarray
-    f_dst_uids: np.ndarray
-    sig_rows: np.ndarray
-    seg_starts: np.ndarray
-
-
-@dataclass(frozen=True)
-class MoveSetLayout:
-    """The candidate axis of a session's move set: ``C = D * (L - 1)``
-    candidates, each its base assignment with one decision moved.
-
-    Built on the session's first
-    :meth:`ConferenceArrays.evaluate_candidates`, so a session that
-    never hops never holds the ``(n_u, C)`` tables.  The move set's
-    bincount bins are ``block * C * (L + 1) + candidate * (L + 1) +
-    agent``, pre-computed but for the agent as ``usage_offsets``, with
-    ``usage_weights`` the layout's row weights repeated per candidate.
-    """
-
-    #: Static :class:`MoveBatch` columns (kind / moved-decision id).
-    kinds: np.ndarray
-    indices: np.ndarray
-    #: ``(D, 1)`` / ``(D, A)`` fancy indices scattering the move blocks.
-    block_rows: np.ndarray
-    block_cols: np.ndarray
-    usage_offsets: np.ndarray
-    usage_weights: np.ndarray
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
-def _build_layout(
-    plan, num_agents: int, num_pairs: int, demand_out_mbps
-) -> SessionLayout:
-    users = plan.users
-    pair_indices = plan.pair_indices
-    num_users = len(users)
-    row_of_user = {uid: i for i, uid in enumerate(users)}
-    row_of_pair = {p: num_users + j for j, p in enumerate(pair_indices)}
-
-    # Instruction tables, accumulated in exact per-assignment order.
-    lm_src: list[int] = []
-    lm_kappa: list[float] = []
-    lm_demand: list[float] = []
-    tc_rows: list[int] = []
-    tc_e_a: list[int] = []
-    tc_e_b: list[int] = []
-    tc_e_starts: list[int] = []
-    tc_e_rows: list[int] = []
-    iv_out: list[int] = []
-    iv_in: list[int] = []
-    iv_kappa: list[float] = []
-    e_a: list[int] = []
-    e_b: list[int] = []
-    # Every inter contribution opens a guard segment (edge 0 is the
-    # implicit receiver != sender), so reduceat output row g IS
-    # contribution g — no scatter needed.
-    e_starts: list[int] = []
-
-    for stream in plan.streams:
-        src = row_of_user[stream.source]
-        kappa_up = float(stream.kappa_up)
-        lm_src.append(src)
-        lm_kappa.append(kappa_up)
-        lm_demand.append(float(demand_out_mbps[stream.source]))
-
-        raw_symbol_rows: list[int] = []
-        for kappa, pair_list, dests in stream.transcode_groups:
-            kappa = float(kappa)
-            task_rows = [row_of_pair[i] for i in pair_list]
-            for ti, task_row in enumerate(task_rows):
-                tc_rows.append(task_row)
-                if ti:
-                    # Duplicate of an earlier task of the group.
-                    tc_e_starts.append(len(tc_e_a))
-                    tc_e_rows.append(len(tc_rows) - 1)
-                    tc_e_a.extend([task_row] * ti)
-                    tc_e_b.extend(task_rows[:ti])
-            dest_rows = [row_of_user[v] for v in dests]
-            for dv, dest_row in enumerate(dest_rows):
-                for ti, task_row in enumerate(task_rows):
-                    iv_out.append(task_row)
-                    iv_in.append(dest_row)
-                    iv_kappa.append(kappa)
-                    # dest != task agent (implicit), dest != source
-                    # agent, dest-first (vs earlier dests of the
-                    # group), task-first (vs earlier tasks).
-                    e_starts.append(len(e_a))
-                    e_a.extend([dest_row] * (2 + dv))
-                    e_a.extend([task_row] * ti)
-                    e_b.append(task_row)
-                    e_b.append(src)
-                    e_b.extend(dest_rows[:dv])
-                    e_b.extend(task_rows[:ti])
-            raw_symbol_rows.extend(task_rows)
-        raw_symbol_rows.extend(row_of_user[v] for v in stream.raw_dest_users)
-
-        for q, symbol_row in enumerate(raw_symbol_rows):
-            iv_out.append(src)
-            iv_in.append(symbol_row)
-            iv_kappa.append(kappa_up)
-            # symbol != source agent (implicit), then symbol-first vs
-            # every earlier raw symbol of the stream.
-            e_starts.append(len(e_a))
-            e_a.extend([symbol_row] * (1 + q))
-            e_b.append(src)
-            e_b.extend(raw_symbol_rows[:q])
-
-    # Flow plan, sorted by destination user up front (per-flow values
-    # are independent, and both downstream reductions are order-exact
-    # maxima).
-    flows = sorted(plan.flows, key=lambda f: row_of_user[f[1]])
-    dest_positions = np.asarray(
-        [row_of_user[f[1]] for f in flows], dtype=np.int64
-    )
-    seg_starts = np.flatnonzero(
-        np.concatenate([[True], dest_positions[1:] != dest_positions[:-1]])
-    )
-    if seg_starts.shape[0] != num_users:
-        raise ModelError(
-            f"session {plan.sid} flow plan does not cover every user"
-        )
-
-    # Direct flows route "via" their own source agent: d[a, a] is
-    # exactly +0.0 (a Topology invariant) and sigma row ``num_pairs`` is
-    # the zero padding row.
-    f_src_rows = [row_of_user[f[0]] for f in flows]
-    f_mid_rows = [
-        f_src_rows[i] if f[2] < 0 else row_of_pair[f[2]]
-        for i, f in enumerate(flows)
-    ]
-    sig_rows = [num_pairs if f[2] < 0 else f[2] for f in flows]
-
-    all_rows = np.asarray(
-        lm_src
-        + lm_src
-        + iv_out
-        + iv_in
-        + tc_rows
-        + f_src_rows
-        + dest_positions.tolist()
-        + f_mid_rows
-        + e_a
-        + tc_e_a
-        + e_b
-        + tc_e_b,
-        dtype=np.int64,
-    )
-    # Flattened bin index minus the agent id: the usage-array block,
-    # scaled by the (L + 1)-wide agent axis.
-    num_streams = len(lm_src)
-    num_inter = len(iv_out)
-    row_offsets = np.repeat(
-        np.arange(5, dtype=np.int64) * (num_agents + 1),
-        [num_streams, num_streams, num_inter, num_inter, len(tc_rows)],
-    )
-    row_weights = np.asarray(
-        lm_kappa + lm_demand + iv_kappa + iv_kappa + [1.0] * len(tc_rows),
-        dtype=np.float64,
-    )
-    guard_starts = e_starts + [len(e_a) + start for start in tc_e_starts]
-
-    as_i64 = lambda xs: _frozen(np.asarray(xs, dtype=np.int64))
-    return SessionLayout(
-        sid=plan.sid,
-        uids=as_i64(users),
-        pairs=as_i64(pair_indices),
-        num_users=num_users,
-        all_rows=_frozen(all_rows),
-        num_streams=num_streams,
-        num_inter=num_inter,
-        num_flows=len(flows),
-        num_edges=len(e_a),
-        num_tc_edges=len(tc_e_a),
-        num_transcodes=len(tc_rows),
-        row_offsets=_frozen(row_offsets),
-        row_weights=_frozen(row_weights),
-        guard_starts=as_i64(guard_starts),
-        tc_e_rows=as_i64(tc_e_rows),
-        f_src_uids=as_i64([f[0] for f in flows]),
-        f_dst_uids=as_i64([f[1] for f in flows]),
-        sig_rows=as_i64(sig_rows),
-        seg_starts=_frozen(seg_starts),
-    )
-
-
-def _build_move_set(layout: SessionLayout, num_agents: int) -> MoveSetLayout:
-    num_users = layout.uids.shape[0]
-    num_pairs = layout.pairs.shape[0]
-    num_decisions = num_users + num_pairs
-    alternatives = max(num_agents - 1, 0)
-    size = num_decisions * alternatives
-    decision_kinds = np.concatenate(
-        [
-            np.full(num_users, KIND_USER, dtype=np.uint8),
-            np.full(num_pairs, KIND_TASK, dtype=np.uint8),
-        ]
-    )
-    decision_indices = np.concatenate([layout.uids, layout.pairs])
-    return MoveSetLayout(
-        kinds=_frozen(np.repeat(decision_kinds, alternatives)),
-        indices=_frozen(np.repeat(decision_indices, alternatives)),
-        block_rows=_frozen(np.arange(num_decisions, dtype=np.int64)[:, None]),
-        block_cols=_frozen(
-            np.arange(size, dtype=np.int64).reshape(
-                num_decisions, alternatives
-            )
-        ),
-        usage_offsets=_frozen(
-            layout.row_offsets[:, None] * size
-            + (np.arange(size, dtype=np.int64) * (num_agents + 1))[None, :]
-        ),
-        usage_weights=_frozen(np.repeat(layout.row_weights, size)),
-    )
-
-
 class ConferenceArrays:
-    """Flattened per-conference state + the single-pass hop kernel.
-
-    Built from what it reads of a :class:`~repro.core.fastpath.
-    ConferenceProfile`: the session plans, the per-user demand vector
-    and the latency matrices.  It keeps no reference to the profile,
-    which caches it (:func:`arrays_for`), so the two form no cycle and
-    are freed together by reference counting.  One
-    :class:`SessionLayout` per session is constructed on the session's
-    first evaluation, and its :class:`MoveSetLayout` on its first move
-    set; both are reused for the conference's lifetime.  :meth:`warm`
-    prebuilds them so steady-state timing excludes construction.
+    """One conference's flow-model kernel: the instruction tables of a
+    :class:`~repro.core.fastpath.ConferenceProfile`, which the
+    conference's fault views share, priced against this conference's
+    own D and H.  Only the matrices and the scratch buffers are its
+    own; :func:`arrays_for` caches it on the conference.
     """
 
-    def __init__(self, profile):
-        self._plans = profile.plans
-        self._demand_out_mbps = profile.demand_out_mbps
+    def __init__(self, profile: ConferenceProfile, topology: Topology):
+        self._profile = profile
         self._num_agents = int(profile.num_agents)
-        self._h = profile.h
-        self._d = profile.d
-        sigma = profile.sigma
-        self._num_pairs = int(sigma.shape[0])
-        self._sigma_pad = _frozen(
-            np.concatenate([sigma, np.zeros((1, sigma.shape[1]))])
-            if self._num_pairs
-            else np.zeros((1, max(self._num_agents, 1)))
-        )
+        self._h = topology.agent_user_ms
+        self._d = topology.inter_agent_ms
+        self._sigma_pad = profile.sigma_pad
         alternatives = max(self._num_agents - 1, 0)
         self._alt = np.arange(alternatives, dtype=np.int64)[None, :]
-        self._layouts: dict[int, SessionLayout] = {}
-        self._move_sets: dict[int, MoveSetLayout] = {}
         #: Reusable per-shape scratch buffers.  Everything handed out in
         #: an evaluation or a :class:`SessionUsage` is freshly allocated
         #: per call; only internal intermediates live here.
         self._scratch: dict[tuple, np.ndarray] = {}
-
-    def layout(self, sid: int) -> SessionLayout:
-        layout = self._layouts.get(sid)
-        if layout is None:
-            layout = _build_layout(
-                self._plans[sid],
-                self._num_agents,
-                self._num_pairs,
-                self._demand_out_mbps,
-            )
-            self._layouts[sid] = layout
-        return layout
-
-    def move_set(self, sid: int) -> MoveSetLayout:
-        move_set = self._move_sets.get(sid)
-        if move_set is None:
-            move_set = _build_move_set(self.layout(sid), self._num_agents)
-            self._move_sets[sid] = move_set
-        return move_set
-
-    def warm(self, sids) -> None:
-        """Prebuild the layouts and move sets of ``sids`` (steady-state
-        preparation)."""
-        for sid in sids:
-            self.move_set(sid)
 
     def _buffer(
         self, tag: str, shape: tuple, dtype=np.int64
@@ -611,14 +292,14 @@ class ConferenceArrays:
         Row ``i`` is bit-for-bit what :meth:`evaluate_assignment` gives
         for the ``i``-th move's assignment.
         """
-        layout = self.layout(sid)
+        layout = self._profile.layout(sid)
         num_agents = self._num_agents
         current = self._decisions(assignment, layout, sid)
 
         alternatives = num_agents - 1
         if alternatives <= 0:
             return self._empty_evaluation(sid)
-        move_set = self.move_set(sid)
+        move_set = self._profile.move_set(sid)
         size = move_set.kinds.shape[0]
         new_agents = self._alt + (self._alt >= current[:, None])
         moves = MoveBatch(
@@ -682,7 +363,7 @@ class ConferenceArrays:
         Everything returned is freshly allocated — the capacity ledger
         keeps the usage arrays.
         """
-        layout = self.layout(sid)
+        layout = self._profile.layout(sid)
         values = self._decisions(assignment, layout, sid)[layout.all_rows]
         n_usage = self._apply_guards(layout, values)
         worst = self._user_worst(layout, values, n_usage)
@@ -697,7 +378,7 @@ class ConferenceArrays:
         that price capacity only (the ledger feed, AgRank's combo check,
         constraints (5)-(7)): the delay half is about a third of the
         pass."""
-        layout = self.layout(sid)
+        layout = self._profile.layout(sid)
         values = self._decisions(assignment, layout, sid)[layout.all_rows]
         return self._usage(layout, values, self._apply_guards(layout, values))
 
@@ -880,11 +561,12 @@ class PhiArray:
         return float(self._scratch[-1])
 
 
-def arrays_for(profile) -> ConferenceArrays:
-    """The conference's :class:`ConferenceArrays`, cached on the profile
-    (same lifetime, no global registry, no reference back)."""
-    arrays = getattr(profile, "_conference_arrays", None)
+def arrays_for(conference: Conference) -> ConferenceArrays:
+    """The conference's :class:`ConferenceArrays` — its own D and H over
+    the :func:`~repro.core.fastpath.profile_for` structure — cached on
+    the conference (same lifetime, no global registry)."""
+    arrays = getattr(conference, "_conference_arrays", None)
     if arrays is None:
-        arrays = ConferenceArrays(profile)
-        profile._conference_arrays = arrays
+        arrays = ConferenceArrays(profile_for(conference), conference.topology)
+        conference._conference_arrays = arrays
     return arrays

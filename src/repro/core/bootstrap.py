@@ -22,7 +22,6 @@ from repro.core.agrank import AgRankConfig, agrank_assignment
 from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.capacity import CapacityLedger
-from repro.core.fastpath import profile_for
 from repro.core.feasibility import FeasibilityReport, capacity_violations
 from repro.core.nearest import nearest_assignment
 from repro.errors import InfeasibleError, SolverError
@@ -73,7 +72,7 @@ def try_bootstrap(
     sid_list = list(sids) if sids is not None else list(range(conference.num_sessions))
     assignment = Assignment.empty(conference)
     ledger = CapacityLedger(conference)
-    arrays = arrays_for(profile_for(conference))
+    arrays = arrays_for(conference)
 
     for sid in sid_list:
         if policy == "nearest":

@@ -14,9 +14,14 @@ Queueing delay is ignored — the capacity constraints guarantee resources
 ``d_u = max_{v in P(u)} d_{v -> u}`` (worst incoming stream).
 
 :func:`flow_table_delays` evaluates every flow of the selected sessions
-as arrays over the profile's :class:`~repro.core.fastpath.FlowTable`,
-adding terms left to right: ``(H + H) + D`` direct, ``(((H + H) + D) +
-D) + sigma`` transcoded.  That order drives the recorded ``delay``
+as arrays over the profile's one-block
+:class:`~repro.core.fastpath.FlowTable` and the conference's own D and
+H, adding terms left to right: ``(((H + H) + D[a, m]) + D[m, b]) +
+sigma``.  A direct flow routes via its own source agent ``m = a`` over
+the zero sigma row, which adds exactly ``+0.0`` twice: ``D[a, a]`` is
+``+0.0`` and D holds no ``-0.0`` (a :class:`~repro.model.topology.
+Topology` invariant), so it equals ``(H + H) + D[a, b]`` bit for bit,
+also where H holds ``-0.0``.  That order drives the recorded ``delay``
 series (:func:`average_conferencing_delay`) and every verdict on
 constraint (8): :func:`repro.core.feasibility.check_assignment` and the
 simulator's SLA check.  The objective's delay terms come from the
@@ -39,41 +44,33 @@ from repro.model.conference import Conference
 
 def flow_table_delays(
     conference: Conference, assignment: Assignment, selected: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(source, destination, delay_ms)`` columns of every flow whose
-    session is ``selected`` (a boolean mask over session ids): one entry
-    for the direct block, one for the transcoded block."""
+    session is ``selected`` (a boolean mask over session ids), in
+    session-id order."""
     profile = profile_for(conference)
     table = profile.flow_table
+    topology = conference.topology
+    h, d = topology.agent_user_ms, topology.inter_agent_ms
+    keep = selected[table.session]
+    source = table.source[keep]
+    destination = table.destination[keep]
     user_agent = assignment.user_agent
-    h, d = profile.h, profile.d
-
-    keep = selected[table.direct_session]
-    source = table.direct_source[keep]
-    destination = table.direct_destination[keep]
     a, b = user_agent[source], user_agent[destination]
     if (a < 0).any() or (b < 0).any():
         raise ModelError("both endpoints must be assigned")
-    direct = (h[a, source] + h[b, destination]) + d[a, b]
-
-    keep = selected[table.transcoded_session]
-    t_source = table.transcoded_source[keep]
-    t_destination = table.transcoded_destination[keep]
-    pair = table.transcoded_pair[keep]
-    a, b = user_agent[t_source], user_agent[t_destination]
-    if (a < 0).any() or (b < 0).any():
-        raise ModelError("both endpoints must be assigned")
-    m = assignment.task_agent[pair]
+    sigma_row = table.sigma_row[keep]
+    m = np.concatenate((user_agent, assignment.task_agent))[table.middle[keep]]
     if (m < 0).any():
         raise ModelError(
-            f"transcoding pair {conference.transcode_pairs[int(pair[m < 0][0])]} "
-            "is unassigned"
+            f"transcoding pair "
+            f"{conference.transcode_pairs[int(sigma_row[m < 0][0])]} is unassigned"
         )
-    transcoded = (
-        (((h[a, t_source] + h[b, t_destination]) + d[a, m]) + d[m, b])
-        + profile.sigma[pair, m]
+    delay = (
+        (((h[a, source] + h[b, destination]) + d[a, m]) + d[m, b])
+        + profile.sigma_pad[sigma_row, m]
     )
-    return [(source, destination, direct), (t_source, t_destination, transcoded)]
+    return source, destination, delay
 
 
 def average_conferencing_delay(
@@ -103,10 +100,8 @@ def average_conferencing_delay(
     selected = np.zeros(num_sessions, dtype=bool)
     selected[sids] = True
     worst = np.zeros(conference.num_users)
-    for _source, destination, delay in flow_table_delays(
-        conference, assignment, selected
-    ):
-        np.maximum.at(worst, destination, delay)
+    _source, destination, delay = flow_table_delays(conference, assignment, selected)
+    np.maximum.at(worst, destination, delay)
 
     # Each requested session's slice of the flat user list, in order.
     offsets = np.repeat(table.user_start[sids] - (np.cumsum(counts) - counts), counts)

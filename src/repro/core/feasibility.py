@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.delay import flow_table_delays
-from repro.core.fastpath import profile_for
 from repro.model.conference import Conference
 from repro.types import UNASSIGNED
 
@@ -138,7 +137,7 @@ def check_assignment(
         return report  # usage/delay formulas require a structurally valid state
 
     # (5)-(7): capacities against the summed session usage.
-    arrays = arrays_for(profile_for(conference))
+    arrays = arrays_for(conference)
     download = np.zeros(num_agents)
     upload = np.zeros(num_agents)
     transcodes = np.zeros(num_agents)
@@ -155,14 +154,14 @@ def check_assignment(
     if not math.isinf(cap):
         selected = np.zeros(conference.num_sessions, dtype=bool)
         selected[sids] = True
-        for sources, destinations, delays in flow_table_delays(
+        sources, destinations, delays = flow_table_delays(
             conference, assignment, selected
-        ):
-            for i in np.flatnonzero(delays > cap + 1e-9):
-                report.add(
-                    f"constraint (8): flow {sources[i]}->{destinations[i]} delay "
-                    f"{delays[i]:.1f} ms > Dmax"
-                )
+        )
+        for i in np.flatnonzero(delays > cap + 1e-9):
+            report.add(
+                f"constraint (8): flow {sources[i]}->{destinations[i]} delay "
+                f"{delays[i]:.1f} ms > Dmax"
+            )
     return report
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.arrays import AssignmentEvaluation, arrays_for
 from repro.core.assignment import Assignment
 from repro.core.costs import CostFunction, LinearCost, uniform_costs, validate_cost_vector
-from repro.core.fastpath import SessionUsage, profile_for
+from repro.core.fastpath import SessionUsage
 from repro.errors import ModelError
 from repro.model.conference import Conference
 
@@ -170,8 +170,7 @@ class ObjectiveEvaluator:
         )
         validate_cost_vector(self._g, conference.num_agents)
         validate_cost_vector(self._h, conference.num_agents)
-        self._profile = profile_for(conference)
-        self._arrays = arrays_for(self._profile)
+        self._arrays = arrays_for(conference)
         self._identity_g = all(
             isinstance(g, LinearCost) and g.rate == 1.0 for g in self._g
         )
@@ -182,11 +181,6 @@ class ObjectiveEvaluator:
     @property
     def conference(self) -> Conference:
         return self._conference
-
-    @property
-    def profile(self):
-        """The cached :class:`~repro.core.fastpath.ConferenceProfile`."""
-        return self._profile
 
     @property
     def weights(self) -> ObjectiveWeights:

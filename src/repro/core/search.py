@@ -192,7 +192,7 @@ class SearchContext:
         self._costs: dict[int, SessionCost] = {
             sid: evaluator.session_cost(assignment, sid) for sid in self._active
         }
-        self._arrays = arrays_for(evaluator.profile)
+        self._arrays = arrays_for(self._conference)
         self._phi = PhiArray({sid: cost.phi for sid, cost in self._costs.items()})
         # The ledger is fed from the costs just computed.
         self._ledger = CapacityLedger(self._conference)

@@ -13,8 +13,8 @@ conferencing deployment:
 * :class:`~repro.model.topology.Topology` — the inter-agent delay matrix
   ``D`` and the agent-to-user delay matrix ``H``;
 * :class:`~repro.model.conference.Conference` — the validated, immutable
-  aggregate of all of the above, with the transcoding matrix ``theta``
-  derived on construction;
+  aggregate of all of the above, with the transcoding pairs (the
+  ``theta_uv = 1`` relation) derived on construction;
 * :class:`~repro.model.builder.ConferenceBuilder` — a fluent constructor.
 """
 

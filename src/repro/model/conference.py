@@ -5,11 +5,11 @@ together, validates global invariants (dense ids, one session per user,
 matrix shapes) and precomputes everything the optimization core consumes on
 its hot path:
 
-* the transcoding matrix ``theta`` (Sec. II) — ``theta[u, v] = 1`` iff
-  ``u`` and ``v`` share a session and ``v`` demands a representation of
-  ``u``'s stream that differs from ``u``'s upstream;
-* the global ordered tuple of transcoding pairs ``(u, v)`` — the tasks whose
-  placement is the second decision dimension (``theta_sum`` of them);
+* the global ordered tuple of transcoding pairs ``(u, v)`` — the
+  relation ``theta_uv = 1`` of Sec. II, i.e. ``u`` and ``v`` share a
+  session and ``v`` demands a representation of ``u``'s stream that
+  differs from ``u``'s upstream.  These are the tasks whose placement is
+  the second decision dimension (``theta_sum`` of them);
 * per-session views (user ids, pair indices) and dense bitrate arrays.
 """
 
@@ -141,7 +141,6 @@ class Conference:
         )
         self._kappa_up.setflags(write=False)
 
-        theta = np.zeros((num_users, num_users), dtype=bool)
         pairs: list[tuple[int, int]] = []
         for session in self._sessions:
             for u in session.user_ids:
@@ -151,10 +150,7 @@ class Conference:
                         continue
                     demanded = self._users[v].downstream_from(u)
                     if demanded != source.upstream:
-                        theta[u, v] = True
                         pairs.append((u, v))
-        theta.setflags(write=False)
-        self._theta = theta
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._pair_index: dict[tuple[int, int], int] = {
             pair: i for i, pair in enumerate(self._pairs)
@@ -239,11 +235,6 @@ class Conference:
     # ------------------------------------------------------------------ #
     # Transcoding structure                                              #
     # ------------------------------------------------------------------ #
-
-    @property
-    def theta(self) -> np.ndarray:
-        """The U x U transcoding matrix (read-only bool array)."""
-        return self._theta
 
     @property
     def transcode_pairs(self) -> tuple[tuple[int, int], ...]:

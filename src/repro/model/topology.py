@@ -22,10 +22,10 @@ class Topology:
 
     D is accepted with a diagonal that is only close to zero and may hold
     ``-0.0``; it is stored with an exact ``+0.0`` diagonal and every
-    ``-0.0`` as ``+0.0``.  The candidate-evaluation kernel
-    (:mod:`repro.core.arrays`) relies on that: it prices a direct flow
-    ``a -> b`` as a hop via its own source agent, ``d[a, a] + d[a, b]``,
-    which is exact only when ``d[a, a]`` is ``+0.0``.
+    ``-0.0`` as ``+0.0``.  The flow-model kernel (:mod:`repro.core.
+    arrays`) and the recorded delay (:mod:`repro.core.delay`) rely on
+    that: both price a direct flow ``a -> b`` as a hop via its own
+    source agent, which is exact only when ``d[a, a]`` is ``+0.0``.
     """
 
     def __init__(self, inter_agent_ms: np.ndarray, agent_user_ms: np.ndarray):

@@ -15,8 +15,11 @@ builds a *substrate view* — copied ``(D, H)`` matrices and replaced
 agents — so the read-only arrays served by
 :func:`repro.netsim.latency.substrate_matrices` are never written (an
 accidental in-place mutation would raise on the write-protected cache
-arrays).  An outaged site keeps its dense agent id (the model requires
-``0..L-1``) and is masked instead: every path through it costs
+arrays).  The view shares the pristine conference's flow-model
+structure (:func:`repro.core.fastpath.share_structure`): a fault
+changes numbers, never who sends what to whom.  An outaged site keeps
+its dense agent id (the model requires ``0..L-1``) and is masked
+instead: every path through it costs
 :data:`OUTAGE_DELAY_MS`, which the delay cap of constraint (8) turns
 into infeasibility for every candidate placement.
 
@@ -34,6 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.fastpath import share_structure
 from repro.errors import SimulationError
 from repro.model.conference import Conference
 from repro.model.topology import Topology
@@ -292,9 +296,10 @@ def apply_faults(
     on every off-diagonal path (``D`` keeps its zero diagonal — the
     model requires it, and a dead site's self-path is never priced).
     Outages are applied last, so they dominate any scaling on the same
-    site.  The returned view shares users/sessions/representations with
-    the pristine conference, so existing :class:`~repro.core.assignment.
-    Assignment` vectors stay valid against it.
+    site.  The returned view shares users/sessions/representations and
+    every agent's latency model with the pristine conference, so
+    existing :class:`~repro.core.assignment.Assignment` vectors stay
+    valid against it and it shares the pristine flow-model structure.
     """
     faults = sorted(faults, key=_canonical_key)
     if not faults:
@@ -330,7 +335,7 @@ def apply_faults(
             d[:, fault.site] = OUTAGE_DELAY_MS
             d[fault.site, fault.site] = 0.0
             h[fault.site, :] = OUTAGE_DELAY_MS
-    return Conference(
+    view = Conference(
         conference.users,
         conference.sessions,
         tuple(agents),
@@ -338,6 +343,7 @@ def apply_faults(
         conference.representations,
         dmax_ms=conference.dmax_ms,
     )
+    return share_structure(view, conference)
 
 
 def outaged_sites(faults: Iterable[Fault]) -> frozenset[int]:

@@ -430,12 +430,10 @@ class ConferencingSimulator:
         selected = np.zeros(self._conference.num_sessions, dtype=bool)
         selected[active] = True
         cap = self._conference.dmax_ms + 1e-9
-        violating = any(
-            bool((delays > cap).any())
-            for _sources, _destinations, delays in flow_table_delays(
-                self._conference, assignment, selected
-            )
+        _sources, _destinations, delays = flow_table_delays(
+            self._conference, assignment, selected
         )
+        violating = bool((delays > cap).any())
         if violating:
             self._sla_violation_s += self._config.sample_interval_s
         elif self._pending_recovery:

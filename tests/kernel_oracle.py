@@ -23,7 +23,9 @@ for bit:
   feasible candidate in enumeration order.
 
 Only tests use it.  The loops read nothing but the profile's session
-plans, demand vector, latency matrices and sigma table.  The per-flow
+plans, demand vector and sigma table, and the conference's own latency
+matrices — never the kernel's copy, so a fault view whose kernel kept
+its pristine conference's D or H would disagree with them.  The per-flow
 oracle in ``tests/flow_oracle.py`` checks the kernel in turn
 (``test_core_fastpath.py``): usage exactly, delays only approximately.
 The per-flow oracle (like :mod:`repro.core.delay`) adds a transcoded
@@ -49,9 +51,10 @@ from repro.core.search import Candidate
 USAGE_FIELDS = ("inter_in", "inter_out", "download", "upload", "transcodes")
 
 
-def session_usage(profile, user_agent, task_agent, sid) -> SessionUsage:
+def session_usage(conference, user_agent, task_agent, sid) -> SessionUsage:
     """Session ``sid``'s per-agent usage per the ``mu_klu`` formula
     (see :mod:`repro.core.arrays`), one contribution at a time."""
+    profile = profile_for(conference)
     plan = profile.plans[sid]
     num_agents = profile.num_agents
     inter_in = np.zeros(num_agents)
@@ -97,16 +100,17 @@ def session_usage(profile, user_agent, task_agent, sid) -> SessionUsage:
     )
 
 
-def session_delays(profile, user_agent, task_agent, sid):
+def session_delays(conference, user_agent, task_agent, sid):
     """``(F(d_s), max flow delay, per-user worst incoming delay)``.
 
     ``F(d_s)`` is the mean of the per-user worst delays; the per-user
     dict is in session user order.  A transcoded flow adds ``(h + h) +
-    ((d + d) + sigma)``.
+    ((d + d) + sigma)``.  D and H come from ``conference.topology``.
     """
+    profile = profile_for(conference)
     plan = profile.plans[sid]
-    h = profile.h
-    d = profile.d
+    h = conference.topology.agent_user_ms
+    d = conference.topology.inter_agent_ms
     worst: dict[int, float] = {u: 0.0 for u in plan.users}
     max_flow = 0.0
     for source, destination, pair_index in plan.flows:
@@ -162,10 +166,12 @@ def assemble_session_cost(evaluator, sid, usage, delay_cost_ms) -> SessionCost:
 
 def oracle_session_cost(evaluator, assignment, sid) -> SessionCost:
     """:meth:`ObjectiveEvaluator.session_cost`, computed by the oracle."""
-    profile = evaluator.profile
-    usage = session_usage(profile, assignment.user_agent, assignment.task_agent, sid)
+    conference = evaluator.conference
+    usage = session_usage(
+        conference, assignment.user_agent, assignment.task_agent, sid
+    )
     delay_cost, _max_flow, _worst = session_delays(
-        profile, assignment.user_agent, assignment.task_agent, sid
+        conference, assignment.user_agent, assignment.task_agent, sid
     )
     return assemble_session_cost(evaluator, sid, usage, delay_cost)
 
@@ -173,13 +179,14 @@ def oracle_session_cost(evaluator, assignment, sid) -> SessionCost:
 def oracle_rows(conference, assignment, sid):
     """``(move, usage, delay_cost_ms, max_flow_ms)`` for every move of
     ``sid`` at ``assignment``, feasible or not, in enumeration order."""
-    profile = profile_for(conference)
     rows = []
     for move in session_moves(conference, assignment, sid):
         candidate = move.apply(assignment)
-        usage = session_usage(profile, candidate.user_agent, candidate.task_agent, sid)
+        usage = session_usage(
+            conference, candidate.user_agent, candidate.task_agent, sid
+        )
         delay_cost, max_flow, _worst = session_delays(
-            profile, candidate.user_agent, candidate.task_agent, sid
+            conference, candidate.user_agent, candidate.task_agent, sid
         )
         rows.append((move, usage, delay_cost, max_flow))
     return rows
@@ -278,18 +285,20 @@ def assert_assignment_matches_oracle(conference, assignment, sid, tag=""):
     """:meth:`ConferenceArrays.evaluate_assignment` (and its usage half
     :meth:`~ConferenceArrays.assignment_usage`) equal
     :func:`session_usage` and :func:`session_delays` bit for bit."""
-    profile = profile_for(conference)
-    evaluation = arrays_for(profile).evaluate_assignment(assignment, sid)
-    usage = session_usage(profile, assignment.user_agent, assignment.task_agent, sid)
+    arrays = arrays_for(conference)
+    evaluation = arrays.evaluate_assignment(assignment, sid)
+    usage = session_usage(
+        conference, assignment.user_agent, assignment.task_agent, sid
+    )
     delay_cost, max_flow, worst = session_delays(
-        profile, assignment.user_agent, assignment.task_agent, sid
+        conference, assignment.user_agent, assignment.task_agent, sid
     )
     for field in USAGE_FIELDS:
         expected, actual = getattr(usage, field), getattr(evaluation.usage, field)
         assert actual.dtype == expected.dtype, f"{tag}: {field} dtype"
         assert np.array_equal(actual, expected), f"{tag}: {field}"
     assert evaluation.usage.sid == sid, tag
-    usage_half = arrays_for(profile).assignment_usage(assignment, sid)
+    usage_half = arrays.assignment_usage(assignment, sid)
     for field in USAGE_FIELDS:
         assert np.array_equal(
             getattr(usage_half, field), getattr(usage, field)

@@ -22,7 +22,9 @@ the removed ``kernel`` solver field.
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -167,7 +169,7 @@ def compiled_library(name):
 
 class TestMoveEnumeration:
     def test_matches_session_moves_enumeration(self, small_scenario_conf):
-        arrays = arrays_for(profile_for(small_scenario_conf))
+        arrays = arrays_for(small_scenario_conf)
         assignment = nearest_assignment(small_scenario_conf)
         for sid in range(small_scenario_conf.num_sessions):
             moves = arrays.evaluate_candidates(assignment, sid).moves
@@ -181,7 +183,7 @@ class TestMoveEnumeration:
             seed=1, num_sessions=2, regions_override=("Virginia",)
         )
         assignment = nearest_assignment(conf)
-        evaluation = arrays_for(profile_for(conf)).evaluate_candidates(assignment, 0)
+        evaluation = arrays_for(conf).evaluate_candidates(assignment, 0)
         assert evaluation.size == 0
         context = SearchContext(make_evaluator(conf), assignment)
         assert context.candidate_batch(0).num_feasible == 0
@@ -192,7 +194,7 @@ class TestKernelRows:
     """Raw candidate rows, feasible or not, on arbitrary assignments."""
 
     def test_rows_match_oracle_at_nearest(self, small_scenario_conf):
-        arrays = arrays_for(profile_for(small_scenario_conf))
+        arrays = arrays_for(small_scenario_conf)
         assignment = nearest_assignment(small_scenario_conf)
         for sid in range(small_scenario_conf.num_sessions):
             assert_rows_equal(
@@ -204,7 +206,7 @@ class TestKernelRows:
     @pytest.mark.parametrize("seed,params", SCENARIO_GRID)
     def test_random_states_bitwise_equal(self, seed, params):
         conference = scenario_conference(seed=seed, params=params)
-        arrays = arrays_for(profile_for(conference))
+        arrays = arrays_for(conference)
         rng = np.random.default_rng(71)
         for trial in range(25):
             assignment = random_assignment(conference, rng)
@@ -240,7 +242,7 @@ class TestKernelRows:
         off_diagonal = ~np.eye(len(d), dtype=bool)
         assert np.array_equal(stored[off_diagonal], d[off_diagonal])
 
-        arrays = arrays_for(profile_for(conference))
+        arrays = arrays_for(conference)
         rng = np.random.default_rng(5)
         for trial in range(15):
             assignment = random_assignment(conference, rng)
@@ -261,7 +263,7 @@ class TestKernelRows:
         context = SearchContext(
             make_evaluator(conference), nearest_assignment(conference)
         )
-        arrays = arrays_for(profile_for(conference))
+        arrays = arrays_for(conference)
         cap_ms = conference.dmax_ms + 1e-9
         rng = np.random.default_rng(13)
         rejected = {"capacity": 0, "delay": 0}
@@ -292,9 +294,9 @@ class TestKernelRows:
         if not context.ledger.unconstrained:
             assert rejected["capacity"] > 0, rejected
 
-    def test_arrays_instance_cached_on_profile(self):
-        profile = profile_for(prototype_conference())
-        assert arrays_for(profile) is arrays_for(profile)
+    def test_arrays_instance_cached_on_conference(self):
+        conference = prototype_conference()
+        assert arrays_for(conference) is arrays_for(conference)
 
 
 class TestCandidates:
@@ -385,6 +387,12 @@ class TestAssignmentPass:
         [("outage",), ("capacity",), ("latency",), ("outage", "capacity", "latency")],
     )
     def test_fault_views_bitwise_equal(self, kinds):
+        """A fault view shares its conference's structure and prices it
+        against its own D and H: after the base has built every layout
+        and move set, both passes on the view equal the oracle, which
+        reads D and H from the view's topology.  Dropping the view frees
+        its arrays by reference counting alone; the shared profile lives
+        on with the base."""
         base = scenario_conference(
             seed=7, params=ScenarioParams(num_user_sites=48, num_users=24)
         )
@@ -392,14 +400,46 @@ class TestAssignmentPass:
             Fault(kind=kind, site=site, start_s=0.0, end_s=1.0, severity=0.6)
             for site, kind in enumerate(kinds, start=1)
         ]
+        rng = np.random.default_rng(3)
+        assignments = [nearest_assignment(base)] + [
+            random_assignment(base, rng) for _ in range(4)
+        ]
+        for sid in range(base.num_sessions):
+            arrays_for(base).evaluate_candidates(assignments[0], sid)
+
         view = apply_faults(base, faults)
         assert view is not base
-        rng = np.random.default_rng(3)
-        for assignment in [nearest_assignment(base)] + [
-            random_assignment(base, rng) for _ in range(4)
-        ]:
+        # Sharing sigma needs every agent's transcoding latency model.
+        assert all(
+            faulted.latency is pristine.latency
+            for faulted, pristine in zip(view.agents, base.agents)
+        )
+        assert profile_for(view) is profile_for(base)
+        arrays = arrays_for(view)
+        assert arrays is not arrays_for(base)
+        assert arrays._d is view.topology.inter_agent_ms
+        assert arrays._h is view.topology.agent_user_ms
+        for trial, assignment in enumerate(assignments):
             for sid in range(view.num_sessions):
-                assert_assignment_matches_oracle(view, assignment, sid, f"{kinds} sid={sid}")
+                tag = f"{kinds} trial={trial} sid={sid}"
+                assert_assignment_matches_oracle(view, assignment, sid, tag)
+                assert_rows_equal(
+                    arrays.evaluate_candidates(assignment, sid),
+                    oracle_rows(view, assignment, sid),
+                    tag,
+                )
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = [weakref.ref(view), weakref.ref(arrays)]
+            profile = weakref.ref(profile_for(base))
+            del view, arrays
+            assert [ref() for ref in refs] == [None, None]
+            assert profile() is profile_for(base)
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("extra_user", [None, ("720p", "720p")])
     def test_sessions_without_pairs(self, extra_user):
@@ -424,7 +464,7 @@ class TestAssignmentPass:
         """Evaluations keep their values: nothing handed out is a view of
         a buffer the kernel writes again."""
         conference = scenario_conference(seed=5, params=SCENARIO_GRID[1][1])
-        arrays = arrays_for(profile_for(conference))
+        arrays = arrays_for(conference)
         rng = np.random.default_rng(17)
         assignment = random_assignment(conference, rng)
         first = arrays.evaluate_assignment(assignment, 0)
@@ -449,7 +489,7 @@ class TestAssignmentPass:
         conference = scenario_conference(seed=3, params=SCENARIO_GRID[0][1])
         assignment = nearest_assignment(conference)
         agent = conference.num_agents if agent == "L" else agent
-        arrays = arrays_for(profile_for(conference))
+        arrays = arrays_for(conference)
         for broken in (
             assignment.with_user(conference.session(0).user_ids[-1], agent),
             assignment.with_task(conference.session_pair_indices(0)[0], agent),
@@ -537,7 +577,7 @@ class TestObjectiveAssembly:
             for sid in sids:
                 delays.extend(
                     session_delays(
-                        evaluator.profile,
+                        evaluator.conference,
                         assignment.user_agent,
                         assignment.task_agent,
                         sid,
@@ -565,7 +605,7 @@ class TestObjectiveAssembly:
         for sid in context.active_sessions:
             delays.extend(
                 session_delays(
-                    evaluator.profile,
+                    evaluator.conference,
                     assignment.user_agent,
                     assignment.task_agent,
                     sid,

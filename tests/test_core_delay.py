@@ -12,6 +12,8 @@ import pytest
 from repro.core.assignment import Assignment
 from repro.core.delay import average_conferencing_delay
 from repro.errors import ModelError, UnknownEntityError
+from repro.model.conference import Conference
+from repro.model.topology import Topology
 from repro.runtime.faults import Fault, apply_faults
 from repro.types import UNASSIGNED
 from repro.workloads.prototype import prototype_conference
@@ -158,6 +160,22 @@ def conference_draws():
             draws[0], [Fault(kind="latency", site=0, start_s=0.0, end_s=1.0, severity=2.0)]
         )
     )
+    # Every other user's last mile is -0.0, which Topology keeps (it
+    # cleans D only): a direct flow's two +0.0 addends must not change
+    # a sum that starts at -0.0.
+    pristine = draws[2]
+    h = np.array(pristine.topology.agent_user_ms)
+    h[:, ::2] = -0.0
+    draws.append(
+        Conference(
+            pristine.users,
+            pristine.sessions,
+            pristine.agents,
+            Topology(pristine.topology.inter_agent_ms, h),
+            pristine.representations,
+            dmax_ms=pristine.dmax_ms,
+        )
+    )
     return draws
 
 
@@ -169,6 +187,10 @@ class TestAverageConferencingDelayExact:
     @pytest.fixture(scope="class")
     def draws(self):
         return conference_draws()
+
+    def test_negative_zero_last_mile_is_kept(self, draws):
+        """The last draw really feeds -0.0 last-mile delays in."""
+        assert np.signbit(draws[-1].topology.agent_user_ms).any()
 
     def test_all_sessions(self, draws):
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
-from repro.core.fastpath import ConferenceProfile, profile_for
+from repro.core.fastpath import profile_for
 from repro.core.nearest import nearest_assignment
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
 from repro.core.search import SearchContext
@@ -37,18 +37,17 @@ def random_assignment(conf, rng):
     )
 
 
-def evaluate(profile, assignment, sid):
-    return arrays_for(profile).evaluate_assignment(assignment, sid)
+def evaluate(conference, assignment, sid):
+    return arrays_for(conference).evaluate_assignment(assignment, sid)
 
 
 class TestUsageEquivalence:
     def test_matches_reference_on_prototype(self, proto_conf, rng):
-        profile = ConferenceProfile(proto_conf)
         for _ in range(5):
             assignment = random_assignment(proto_conf, rng)
             for sid in range(proto_conf.num_sessions):
                 ref = compute_session_usage(proto_conf, assignment, sid)
-                fast = evaluate(profile, assignment, sid).usage
+                fast = evaluate(proto_conf, assignment, sid).usage
                 for field in USAGE_FIELDS:
                     assert np.array_equal(getattr(ref, field), getattr(fast, field))
 
@@ -57,12 +56,11 @@ class TestUsageEquivalence:
             conf = scenario_conference(
                 seed=seed, params=ScenarioParams(num_user_sites=32, num_users=20)
             )
-            profile = ConferenceProfile(conf)
             for _ in range(10):
                 assignment = random_assignment(conf, rng)
                 for sid in range(conf.num_sessions):
                     ref = compute_session_usage(conf, assignment, sid)
-                    fast = evaluate(profile, assignment, sid).usage
+                    fast = evaluate(conf, assignment, sid).usage
                     for field in USAGE_FIELDS:
                         assert np.array_equal(getattr(ref, field), getattr(fast, field))
 
@@ -70,33 +68,30 @@ class TestUsageEquivalence:
         from tests.conftest import build_shared_dest_conference
 
         conf = build_shared_dest_conference()
-        profile = ConferenceProfile(conf)
         for tasks in ([0, 0], [0, 1], [1, 0], [1, 1]):
             assignment = Assignment(np.array([0, 1, 0]), np.array(tasks))
             ref = compute_session_usage(conf, assignment, 0)
-            fast = evaluate(profile, assignment, 0).usage
+            fast = evaluate(conf, assignment, 0).usage
             for field in USAGE_FIELDS:
                 assert np.array_equal(getattr(ref, field), getattr(fast, field))
 
 
 class TestDelayEquivalence:
     def test_matches_reference_on_prototype(self, proto_conf, rng):
-        profile = ConferenceProfile(proto_conf)
         for _ in range(5):
             assignment = random_assignment(proto_conf, rng)
             for sid in range(proto_conf.num_sessions):
                 ref = session_user_delays(proto_conf, assignment, sid)
-                fast = evaluate(profile, assignment, sid).user_worst_ms
+                fast = evaluate(proto_conf, assignment, sid).user_worst_ms
                 users = proto_conf.session(sid).user_ids
                 assert ref.keys() == set(users)
                 for uid, worst in zip(users, fast):
                     assert ref[uid] == pytest.approx(worst)
 
     def test_delay_cost_and_max_flow(self, proto_conf, rng):
-        profile = ConferenceProfile(proto_conf)
         assignment = random_assignment(proto_conf, rng)
         for sid in range(0, proto_conf.num_sessions, 3):
-            evaluation = evaluate(profile, assignment, sid)
+            evaluation = evaluate(proto_conf, assignment, sid)
             mean, worst = evaluation.delay_cost_ms, evaluation.user_worst_ms
             max_flow = worst.max()
             assert worst.shape == (len(proto_conf.session(sid).user_ids),)
@@ -124,9 +119,10 @@ class TestProfileCache:
         assert profile() is None
 
     def test_reference_counting_frees_the_conference_tree(self):
-        """Conference -> profile -> arrays is a tree, not a cycle: with
-        the collector off, ``del`` alone frees all three, also after a
-        search context has evaluated a batch on them."""
+        """Conference -> arrays -> profile (and conference -> profile)
+        is a tree, not a cycle: with the collector off, ``del`` alone
+        frees all three, also after a search context has evaluated a
+        batch on them."""
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -136,21 +132,22 @@ class TestProfileCache:
             )
             context = SearchContext(evaluator, nearest_assignment(conf))
             assert context.candidate_batch(0).evaluation.size > 0
-            profile = profile_for(conf)
-            refs = [weakref.ref(obj) for obj in (conf, profile, arrays_for(profile))]
-            del conf, evaluator, context, profile
+            refs = [
+                weakref.ref(obj) for obj in (conf, profile_for(conf), arrays_for(conf))
+            ]
+            del conf, evaluator, context
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             if enabled:
                 gc.enable()
 
     def test_sigma_table_shape(self, proto_conf):
-        profile = ConferenceProfile(proto_conf)
+        profile = profile_for(proto_conf)
         assert profile.sigma.shape == (proto_conf.theta_sum, proto_conf.num_agents)
         assert (profile.sigma > 0).all()
 
     def test_demand_out_matches_model(self, proto_conf):
-        profile = ConferenceProfile(proto_conf)
+        profile = profile_for(proto_conf)
         for session in proto_conf.sessions:
             for uid in session.user_ids:
                 expected = sum(

@@ -23,7 +23,6 @@ from repro.core.agrank import AgRankConfig
 from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
 from repro.core.bootstrap import try_bootstrap
-from repro.core.fastpath import profile_for
 from repro.core.feasibility import check_assignment
 from repro.model.builder import ConferenceBuilder
 from repro.model.conference import Conference
@@ -315,7 +314,7 @@ class TestBootstrapMatchesOracle:
             seed=5, params=ScenarioParams(num_user_sites=48, num_users=24)
         )
         assignment = try_bootstrap(conference, "agrank").assignment
-        arrays = arrays_for(profile_for(conference))
+        arrays = arrays_for(conference)
         for sid in range(conference.num_sessions):
             fast = arrays.assignment_usage(assignment, sid)
             ref = flow_oracle.compute_session_usage(conference, assignment, sid)

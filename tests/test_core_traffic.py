@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.arrays import arrays_for
 from repro.core.assignment import Assignment
-from repro.core.fastpath import profile_for
 from repro.errors import ModelError
 from tests.conftest import build_pair_conference
 from tests.flow_oracle import (
@@ -24,7 +23,7 @@ from tests.flow_oracle import (
 
 
 def kernel_session_usage(conf, assignment, sid):
-    return arrays_for(profile_for(conf)).assignment_usage(assignment, sid)
+    return arrays_for(conf).assignment_usage(assignment, sid)
 
 
 @pytest.fixture(

@@ -19,8 +19,9 @@ class TestThetaDerivation:
         conf = build_pair_conference("720p", "360p", "360p", "480p")
         # u1 demands 480p of u0's 720p stream -> one task (0 -> 1).
         assert conf.transcode_pairs == ((0, 1),)
-        assert conf.theta[0, 1]
-        assert not conf.theta[1, 0]
+        assert conf.pair_index(0, 1) == 0
+        with pytest.raises(UnknownEntityError):
+            conf.pair_index(1, 0)
 
     def test_pair_index_lookup(self):
         conf = build_pair_conference("720p", "360p", "360p", "480p")
@@ -41,8 +42,11 @@ class TestThetaDerivation:
             inter_agent_ms=np.zeros((1, 1)),
             agent_user_ms=np.full((1, 4), 10.0),
         )
-        assert not conf.theta[0, 2]
-        assert not conf.theta[0, 3]
+        # u2 would demand 480p of u0's 720p stream in a shared session.
+        assert conf.transcode_pairs == ()
+        for destination in (2, 3):
+            with pytest.raises(UnknownEntityError):
+                conf.pair_index(0, destination)
 
     def test_session_pair_indices_partition_pairs(self):
         builder = ConferenceBuilder(PAPER_LADDER)

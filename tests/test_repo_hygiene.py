@@ -2,6 +2,8 @@
 and the public API re-exports resolve."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import re
@@ -191,6 +193,30 @@ class TestBenchesCollect:
             timeout=300,
         )
         assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+
+
+class TestPerfbenchTargets:
+    """The benchmark's traced run wraps every layer entry point it
+    names by module and qualname, and a missing one fails that run.
+    Resolve each here the way ``perfbench.spans.install`` does, without
+    wrapping anything, so a rename fails tier-1 instead."""
+
+    def test_every_layer_target_resolves(self):
+        from perfbench.layers import targets
+
+        listed = targets()
+        assert listed
+        missing = []
+        for target in listed:
+            owner = importlib.import_module(target.module)
+            *path, attr = target.qualname.split(".")
+            try:
+                for part in path:
+                    owner = getattr(owner, part)
+                inspect.getattr_static(owner, attr)
+            except AttributeError:
+                missing.append(f"{target.module}:{target.qualname}")
+        assert not missing, missing
 
 
 class TestPublicApi:
