@@ -766,16 +766,18 @@ def _serve(args: argparse.Namespace) -> int:
     )
 
     if events is not None:
-        server = None
+        server = client = None
         try:
             if args.http:
                 server = ServiceServer(service, host=args.host, port=0).start()
                 client = HTTPServiceClient(server.url)
                 _LOG.info("driving over loopback HTTP at %s", server.url)
+                report = drive_trace(client, events)
             else:
-                client = InProcessClient(service)
-            report = drive_trace(client, events)
+                report = drive_trace(InProcessClient(service), events)
         finally:
+            if client is not None:
+                client.close()
             if server is not None:
                 server.shutdown()
         summary = report.as_dict()

@@ -6,11 +6,15 @@ No web framework, only the standard library: a
 locking — concurrent requests serialize on the service's decision lock,
 so HTTP adds transport, not semantics.
 
-The handler speaks HTTP/1.1, so a client may keep its connection open
-across requests.  It sets ``TCP_NODELAY``: a reply goes out as two
-writes (headers, then body), and with Nagle's algorithm on the body
-would wait for the client's delayed ACK of the headers, ~40 ms per
-request on a kept-alive connection.
+The handler speaks HTTP/1.1, so a client keeps its connection open
+across requests, and the server runs one thread per connection, not
+per request.  It sets ``TCP_NODELAY``: a reply goes out as two writes
+(headers, then body), and with Nagle's algorithm on the body would wait
+for the client's delayed ACK of the headers, ~40 ms per request on a
+kept-alive connection.  ``POST /v1/shutdown`` answers with
+``Connection: close``, and :meth:`ServiceServer.shutdown` shuts down
+every connection still open, so no kept-alive client is answered once
+it returns.
 
 Routes::
 
@@ -32,7 +36,9 @@ body, so clients branch on one shape.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.log import get_logger
@@ -52,18 +58,24 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:  # noqa: A003
         _LOG.debug("%s %s", self.address_string(), fmt % args)
 
-    def _reply(self, status: int, body: dict) -> None:
+    def _reply(self, status: int, body: dict, close: bool = False) -> None:
         data = json.dumps(body, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # Also makes the handler close the connection after it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
-    def _error(self, status: int, code: str, message: str) -> None:
+    def _error(
+        self, status: int, code: str, message: str, close: bool = False
+    ) -> None:
         self._reply(
             status,
             {"status": "error", "error": {"code": code, "message": message}},
+            close,
         )
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
@@ -82,7 +94,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         if self.path == "/v1/shutdown":
-            self._reply(200, {"status": "ok"})
+            self._reply(200, {"status": "ok"}, close=True)
             self.server.request_shutdown()
             return
         op = _OP_ROUTES.get(self.path)
@@ -91,6 +103,20 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative size would read to EOF and hold the connection;
+            # with no usable length the body's end is unknown, so the
+            # connection cannot carry another request either.
+            self._error(
+                400,
+                "malformed",
+                "Content-Length must be a non-negative integer",
+                close=True,
+            )
+            return
+        try:
             raw = self.rfile.read(length) if length else b"{}"
             payload = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:
@@ -100,6 +126,56 @@ class _Handler(BaseHTTPRequestHandler):
             payload = {"op": op, **payload}
         response = self.server.service.request(payload)
         self._reply(200 if response["status"] == "ok" else 409, response)
+
+
+class _Server(ThreadingHTTPServer):
+    """Tracks its open connections so :meth:`close_connections` can
+    end kept-alive ones whose handlers wait for a next request."""
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        service: PlacementService,
+        request_shutdown: Callable[[], None],
+    ) -> None:
+        super().__init__(address, _Handler)
+        # The handler reaches the service through its server.
+        self.service = service
+        self.request_shutdown = request_shutdown
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        self._closing = False
+
+    def process_request(self, request, client_address) -> None:
+        # Runs on the serve loop, so every connection accepted before
+        # the loop stops is tracked by the time ``shutdown()`` returns.
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        # Untracked before it is closed, so close_connections never
+        # touches a closed socket.
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A handler cut off mid-request by close_connections fails its
+        # reply; that is the shutdown working, not an error to report.
+        if not self._closing:
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down; each handler then reads EOF
+        (or fails its reply) and its thread ends."""
+        with self._connections_lock:
+            self._closing = True
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class ServiceServer:
@@ -114,10 +190,7 @@ class ServiceServer:
         self, service: PlacementService, host: str = "127.0.0.1", port: int = 0
     ):
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        # Hand the handler a back-reference through the server object.
-        self._httpd.service = service  # type: ignore[attr-defined]
-        self._httpd.request_shutdown = self.request_shutdown  # type: ignore[attr-defined]
+        self._httpd = _Server((host, port), service, self.request_shutdown)
         self._thread: threading.Thread | None = None
 
     @property
@@ -147,8 +220,11 @@ class ServiceServer:
         threading.Thread(target=self.shutdown, daemon=True).start()
 
     def shutdown(self) -> None:
+        """Stop the serve loop, close the listening socket, then end
+        every open connection, so nothing is answered after this."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

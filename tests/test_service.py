@@ -179,10 +179,11 @@ class TestReplayDeterminism:
                 report = drive_trace(client, TRACE)
             else:
                 server = ServiceServer(service, port=0).start()
+                client = HTTPServiceClient(server.url)
                 try:
-                    client = HTTPServiceClient(server.url)
                     report = drive_trace(client, TRACE)
                 finally:
+                    client.close()
                     server.shutdown()
             assert report.errors == 0
             assert report.events == 6
@@ -358,12 +359,15 @@ class TestErrorPaths:
 
 class TestHTTPTransport:
     def test_round_trip_and_structured_errors(self):
+        """A 409 is read like a 200: the structured error body comes
+        back as the response, on the same kept-alive connection."""
         server = ServiceServer(make_service(), port=0).start()
+        client = HTTPServiceClient(server.url)
         try:
-            client = HTTPServiceClient(server.url)
             ok = client.arrive(2, time_s=1.0)
             assert ok["status"] == "ok"
             assert ok["placement"]["users"]
+            port = client._connection.sock.getsockname()[1]
             snap = client.snapshot()
             assert sorted(snap["active_sids"]) == [0, 1, 2]
             bad = client.request({"op": "teleport"})
@@ -373,39 +377,165 @@ class TestHTTPTransport:
             assert dup["error"]["code"] == "duplicate_session"
             metrics = client.metrics()
             assert metrics["decisions"] >= 4
+            assert client._connection.sock.getsockname()[1] == port
         finally:
+            client.close()
             server.shutdown()
 
     def test_keep_alive_round_trips_do_not_stall(self):
-        """Replies on a kept-alive connection go out at once: with
-        Nagle's algorithm on, the body of each two-write reply waited
-        for the client's delayed ACK (~40 ms per request)."""
+        """Replies on the client's kept-alive connection go out at once:
+        with Nagle's algorithm on, the body of each two-write reply
+        waited for the client's delayed ACK (~40 ms per request)."""
         import gc
-        import http.client
         import time
 
         server = ServiceServer(make_service(), port=0).start()
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        client = HTTPServiceClient(server.url, timeout_s=5.0)
         try:
             # A full collection of the heap a whole test session builds
             # takes ~100 ms and lands on whichever request triggers it;
             # collect first so one is unlikely among the 50 requests.
             gc.collect()
             elapsed_ms = []
+            ports = set()
             for _ in range(50):
                 start = time.perf_counter()
-                connection.request("GET", "/metrics")
-                response = connection.getresponse()
-                body = json.loads(response.read())
+                body = client.metrics()
                 elapsed_ms.append((time.perf_counter() - start) * 1e3)
-                assert response.status == 200
                 assert body["status"] == "ok"
+                ports.add(client._connection.sock.getsockname()[1])
             assert max(elapsed_ms) < 20.0, elapsed_ms
+            # The stall shows only on a kept-alive connection.
+            assert len(ports) == 1
         finally:
-            connection.close()
+            client.close()
             server.shutdown()
 
+    def test_kept_alive_client_is_not_answered_after_shutdown(self):
+        server = ServiceServer(make_service(), port=0).start()
+        client = HTTPServiceClient(server.url, timeout_s=2.0)
+        try:
+            assert client.snapshot()["status"] == "ok"
+        finally:
+            server.shutdown()
+        try:
+            with pytest.raises(OSError):
+                client.snapshot()
+        finally:
+            client.close()
+
+    def test_restarted_server_gets_the_next_request_once(self):
+        """The idle connection to the old server is dropped before use,
+        so the next request goes to the new one, exactly once."""
+        server = ServiceServer(make_service(), port=0).start()
+        client = HTTPServiceClient(server.url)
+        try:
+            assert client.snapshot()["status"] == "ok"
+        finally:
+            server.shutdown()
+        restarted = ServiceServer(make_service(), port=server.port).start()
+        try:
+            assert client.arrive(2, time_s=1.0)["status"] == "ok"
+            assert restarted.service.stats.decisions == 1
+        finally:
+            client.close()
+            restarted.shutdown()
+
+    def test_a_request_in_flight_is_not_resent(self):
+        """A server that takes a request and closes without answering:
+        the client reports it, and sends nothing again."""
+        import socket
+        import threading
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.5)
+        accepted = []
+
+        def take_and_drop() -> None:
+            while True:
+                try:
+                    connection, _ = listener.accept()
+                except OSError:
+                    return
+                with connection:
+                    accepted.append(connection.recv(65536))
+
+        thread = threading.Thread(target=take_and_drop, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        client = HTTPServiceClient(f"http://127.0.0.1:{port}", timeout_s=5.0)
+        try:
+            with pytest.raises(OSError):
+                client.arrive(2, time_s=1.0)
+        finally:
+            client.close()
+            # The accept loop ends on its first idle 0.5 s.
+            thread.join(5.0)
+            listener.close()
+        assert not thread.is_alive()
+        assert len(accepted) == 1
+        assert accepted[0].startswith(b"POST /v1/request ")
+
+    def test_threads_may_share_a_client(self):
+        """Calls from several threads take turns on the one connection:
+        interleaved on its socket, they would fail or cross replies."""
+        import sys
+        import threading
+
+        server = ServiceServer(make_service(), port=0).start()
+        client = HTTPServiceClient(server.url, timeout_s=5.0)
+        answers = []
+
+        def poll() -> None:
+            for _ in range(25):
+                answers.append(client.snapshot()["status"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=poll) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+            server.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == ["ok"] * 100
+        assert server.service.stats.decisions == 100
+
+    def test_only_http_urls(self):
+        with pytest.raises(ValueError, match="http://host:port"):
+            HTTPServiceClient("https://127.0.0.1:8080")
+
+    def test_negative_content_length_is_malformed(self):
+        """A negative size would read to EOF: the handler would hold the
+        connection waiting for the client to close it."""
+        import socket
+
+        server = ServiceServer(make_service(), port=0).start()
+        try:
+            with socket.create_connection(
+                (server.host, server.port), timeout=3.0
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/request HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: -1\r\n\r\n{}"
+                )
+                # The reply closes the connection: its length is unusable.
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+        finally:
+            server.shutdown()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"]["code"] == "malformed"
+
     def test_shutdown_endpoint_stops_the_server(self):
+        import http.client
         import time
 
         server = ServiceServer(make_service(), port=0).start()
@@ -413,11 +543,13 @@ class TestHTTPTransport:
         assert client.shutdown()["status"] == "ok"
         # The endpoint answers before the loop stops (it must not
         # deadlock its own handler), so poll until the port goes dark.
+        # A request the shutdown cuts off mid-reply ends in a short
+        # read rather than a socket error.
         deadline = time.time() + 5.0
         while time.time() < deadline:
             try:
                 client.snapshot()
-            except OSError:
+            except (OSError, http.client.HTTPException):
                 break
             time.sleep(0.05)
         else:
